@@ -4,11 +4,9 @@ Measures the before/after cost of every kernel the optimization layer
 touches and serializes the results to ``BENCH_kernels.json`` at the repo
 root (the committed copy documents the speedups on the reference machine):
 
-- ``spgemm``            — vectorized-Gustavson multiply, fresh allocations
-                          vs a reused :class:`SpGEMMWorkspace`;
-- ``spgemm_parallel``   — the same product, OpenMP row-parallel native
-                          kernel at ``REPRO_KERNEL_THREADS=2`` (pure
-                          columns track the serial route for reference);
+- ``spgemm``            — the ``F @ A12`` product of the Schur update:
+                          scipy's row-merge vs the native C row-merge
+                          (tracked per tier; no pre-optimization route);
 - ``csr_to_csc``        — scipy ``tocsc()``/``tocsr()`` round trip vs the
                           native counting-sort conversion;
 - ``permute_split``     — pure fused permute + 2x2 split vs the native
@@ -80,7 +78,6 @@ from repro.core.ilut_crtp import ILUT_CRTP  # noqa: E402
 from repro.core.lu_crtp import LU_CRTP  # noqa: E402
 from repro.linalg.tsqr import tsqr  # noqa: E402
 from repro.sparse.ops import csr_matmul_nosym, permute, split_2x2  # noqa: E402
-from repro.sparse.spgemm import SpGEMMWorkspace, spgemm  # noqa: E402
 from repro.sparse.thresholding import (apply_threshold_mask,  # noqa: E402
                                        drop_small, threshold_mask)
 from repro.sparse.window import permuted_blocks  # noqa: E402
@@ -123,77 +120,32 @@ def _m2_analogue(n: int) -> sp.csc_matrix:
 
 
 def bench_spgemm(quick: bool, repeats: int, native: bool) -> dict:
+    """The Schur product ``F @ A12`` through ``kernels.spgemm_csr``: the
+    pure route on both columns, the native row-merge in ``tiers.native``
+    (bitwise identical output)."""
     n = 400 if quick else 1200
     rng = np.random.default_rng(2)
-    F = sp.random(n, 64, density=0.20, random_state=rng, format="csc")
-    A12 = sp.random(64, n, density=0.30, random_state=rng, format="csc")
-
-    before = _mintime(lambda: spgemm(F, A12), repeats)
-    ws = SpGEMMWorkspace()
-    spgemm(F, A12, workspace=ws)  # warm the buffers
-    after = _mintime(lambda: spgemm(F, A12, workspace=ws), repeats)
-    entry = {"before_s": before, "after_s": after,
-             "detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30), "
-                       "fresh allocations vs reused workspace; native = "
-                       "C row-merge on the CSR operands"}
-    if native:
-        Fr, Ar = F.tocsr(), A12.tocsr()
-        ws2 = SpGEMMWorkspace()
-        C = kernels.spgemm_csr(Fr, Ar, tier="native", workspace=ws2)
-        ref = Fr @ Ar
-        assert (np.array_equal(C.indptr, ref.indptr)
-                and np.array_equal(C.indices, ref.indices)
-                and np.array_equal(C.data, ref.data)), "spgemm tiers disagree"
-        _add_native_tier(entry, _mintime(
-            lambda: kernels.spgemm_csr(Fr, Ar, tier="native", workspace=ws2),
-            repeats))
-    return entry
-
-
-def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
-    """OpenMP row-parallel SpGEMM against the serial pure route (the
-    per-row result is bitwise thread-count independent, so only time
-    changes).  Thread count is ``min(2, cpu_count)`` — oversubscribing a
-    single-core host only measures scheduler thrash, not the kernel."""
-    n = 400 if quick else 1200
-    rng = np.random.default_rng(7)
     F = sp.random(n, 64, density=0.20, random_state=rng, format="csr")
     A12 = sp.random(64, n, density=0.30, random_state=rng, format="csr")
     F.sort_indices()
     A12.sort_indices()
 
-    nthreads = min(2, os.cpu_count() or 1)
     t_pure = _mintime(lambda: kernels.spgemm_csr(F, A12, tier="pure"),
                       repeats)
     entry = {"before_s": t_pure, "after_s": t_pure,
-             "detail": f"F({n}x64) @ A12(64x{n}); serial pure route on both "
-                       "columns, native = row-parallel kernel at "
-                       f"REPRO_KERNEL_THREADS={nthreads} (bitwise "
-                       "identical output)"}
+             "detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30); scipy "
+                       "row-merge on both columns, native = C row-merge "
+                       "into a reused workspace"}
     if native:
-        # benches sit outside src/, so the SPMD004 encapsulation rule does
-        # not apply; the direct import is only for the OpenMP capability note
-        from repro.kernels.native import openmp_enabled
-        ws = SpGEMMWorkspace()
-        old = os.environ.get(kernels.THREADS_ENV)
-        os.environ[kernels.THREADS_ENV] = str(nthreads)
-        try:
-            C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
-            ref = kernels.spgemm_csr(F, A12, tier="pure")
-            assert (np.array_equal(C.indptr, ref.indptr)
-                    and np.array_equal(C.indices, ref.indices)
-                    and np.array_equal(C.data, ref.data)), \
-                "parallel spgemm disagrees"
-            entry["detail"] += ("" if openmp_enabled()
-                                else "; OpenMP unavailable: serial native")
-            _add_native_tier(entry, _mintime(
-                lambda: kernels.spgemm_csr(F, A12, tier="native",
-                                           workspace=ws), repeats))
-        finally:
-            if old is None:
-                os.environ.pop(kernels.THREADS_ENV, None)
-            else:
-                os.environ[kernels.THREADS_ENV] = old
+        ws = kernels.SpGEMMWorkspace()
+        C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
+        ref = kernels.spgemm_csr(F, A12, tier="pure")
+        assert (np.array_equal(C.indptr, ref.indptr)
+                and np.array_equal(C.indices, ref.indices)
+                and np.array_equal(C.data, ref.data)), "spgemm tiers disagree"
+        _add_native_tier(entry, _mintime(
+            lambda: kernels.spgemm_csr(F, A12, tier="native", workspace=ws),
+            repeats))
     return entry
 
 
@@ -281,7 +233,7 @@ def bench_schur_update(quick: bool, repeats: int, native: bool) -> dict:
                        "= fused schur_update_csc (C window scatter + "
                        "row-merge + one-pass diff/convert)"}
     if native:
-        ws2 = SpGEMMWorkspace()
+        ws2 = kernels.SpGEMMWorkspace()
 
         def fused_native():
             _, A12, _, A22 = kernels.permuted_blocks(
@@ -470,8 +422,6 @@ def run(quick: bool) -> dict:
     native = kernels.native_available()
     benches = {
         "spgemm": bench_spgemm(quick, max(repeats, 3), native),
-        "spgemm_parallel": bench_spgemm_parallel(quick, max(repeats, 3),
-                                                 native),
         "csr_to_csc": bench_csr_to_csc(quick, max(repeats, 5), native),
         "permute_split": bench_permute_split(quick, max(repeats, 5), native),
         "schur_update": bench_schur_update(quick, max(repeats, 3), native),

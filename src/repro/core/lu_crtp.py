@@ -109,10 +109,6 @@ class LU_CRTP:
         Entries of the Schur complement at or below this magnitude are
         treated as exact cancellation noise and pruned (this is *not*
         ILUT thresholding; it only removes round-off debris).
-    schur_engine:
-        ``"scipy"`` (default) or ``"native"`` — use the library's own
-        vectorized-Gustavson SpGEMM (:mod:`repro.sparse.spgemm`) for the
-        ``F @ A12`` product.
     qr_engine:
         Factorization used on the k winning columns (Algorithm 2 line 6):
         ``"cholqr2"`` (default — Gram-based, fastest here) or
@@ -147,7 +143,6 @@ class LU_CRTP:
     stop_at_numerical_rank: bool = True
     zero_drop_tol: float = 0.0
     raise_on_failure: bool = False
-    schur_engine: str = "scipy"
     discard_small_columns: float = 0.0
     qr_engine: str = "cholqr2"
     kernel_tier: str = "auto"
@@ -434,22 +429,11 @@ class LU_CRTP:
         f_colnnz = np.bincount(F.indices, minlength=k_i)
         schur_flops = 2.0 * float(np.dot(f_colnnz, np.diff(A12.indptr)))
         with perf.timer("schur"):
-            if self.schur_engine == "native":
-                from ..sparse.spgemm import SpGEMMWorkspace, spgemm
-                ws = getattr(self, "_spgemm_ws", None)
-                if ws is None:
-                    ws = self._spgemm_ws = SpGEMMWorkspace()
-                # dtype-preserving engine: the tier registry's float64
-                # contract does not apply here
-                prod = spgemm(F, A12, workspace=ws)
-                schur = (A22 - prod).tocsc()  # repro: noqa[SPMD004]
-                drop_explicit_zeros(schur, tol=self.zero_drop_tol)
-            else:
-                # one dispatch for multiply + subtract + convert + drop —
-                # the native tier fuses the chain, pure runs the exact
-                # composition this site used to spell out
-                schur = kernels.schur_update_csc(
-                    A22, F, A12, tol=self.zero_drop_tol, tier=tier)
+            # one dispatch for multiply + subtract + convert + drop —
+            # the native tier fuses the chain, pure runs the exact
+            # composition this site used to spell out
+            schur = kernels.schur_update_csc(
+                A22, F, A12, tol=self.zero_drop_tol, tier=tier)
             perf.add_flops("schur", schur_flops)
         kernel_seconds["schur"] = time.perf_counter() - t
 
@@ -523,11 +507,7 @@ class LU_CRTP:
         t = time.perf_counter()
         # reference route stays plain scipy on purpose: it is the oracle
         # the optimized/native routes are pinned against
-        if self.schur_engine == "native":
-            from ..sparse.spgemm import spgemm
-            schur = (A22 - spgemm(F, A12)).tocsc()  # repro: noqa[SPMD004]
-        else:
-            schur = (A22 - F @ A12).tocsc()  # repro: noqa[SPMD004]
+        schur = (A22 - F @ A12).tocsc()  # repro: noqa[SPMD004]
         drop_explicit_zeros(schur, tol=self.zero_drop_tol)
         kernel_seconds["schur"] = time.perf_counter() - t
 

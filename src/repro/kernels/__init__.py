@@ -10,7 +10,6 @@ See :mod:`repro.kernels.tiers` for resolution semantics and
 """
 
 from .tiers import (
-    THREADS_ENV,
     TIER_ENV,
     TIER_REQUESTS,
     TIERS,
@@ -20,7 +19,6 @@ from .tiers import (
     csr_to_csc,
     gather_columns,
     gram_csc,
-    kernel_threads,
     native_available,
     permuted_blocks,
     pivot_argmin_consume,
@@ -32,19 +30,18 @@ from .tiers import (
     threshold_mask,
     validate_request,
 )
+from .workspace import SpGEMMWorkspace
 
 __all__ = [
     "TIERS",
     "TIER_REQUESTS",
     "TIER_ENV",
-    "THREADS_ENV",
     "available_tiers",
     "native_available",
     "resolve_tier",
     "validate_request",
     "record_tier",
     "reset",
-    "kernel_threads",
     "spgemm_csr",
     "threshold_mask",
     "apply_threshold_mask",
@@ -55,4 +52,5 @@ __all__ = [
     "gather_columns",
     "gram_csc",
     "schur_update_csc",
+    "SpGEMMWorkspace",
 ]

@@ -14,8 +14,6 @@ Every wrapper below produces bitwise-identical results to its pure
 counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 
 - :func:`spgemm_csr`       ≡ ``repro.sparse.ops.csr_matmul_nosym``
-  (``threads > 1`` selects the OpenMP row-parallel variant, which is
-  per-row-deterministic — identical bits at any thread count)
 - :func:`threshold_mask` / :func:`apply_threshold_mask`
                            ≡ ``repro.sparse.thresholding`` pair
 - :func:`permuted_blocks`  ≡ ``repro.sparse.window.permuted_blocks``
@@ -37,6 +35,7 @@ import numpy as np
 
 from ...sparse.ops import _MATMUL_CAP
 from ...sparse.utils import raw_csc, raw_csr
+from ..workspace import SpGEMMWorkspace
 from . import build
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -74,7 +73,6 @@ def _ptr(dtype):
 #: mention ``IDX`` bind both suffixed symbols; the rest bind ``name``
 #: as-is.
 _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
-    "rk_openmp_enabled": ("i64", ()),
     "rk_thresh_mask": ("i64", ("f64*", "i64", "f64", "u8*", "f64*", "&f64")),
     "rk_pivot_argmin_consume": ("i64", ("i64*", "i64", "i64")),
     "rk_spgemm": ("i64", ("i64", "i64",
@@ -82,11 +80,6 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                           "IDX*", "IDX*", "f64*",
                           "IDX*", "IDX*", "f64*",
                           "i64*", "f64*", "i64*")),
-    "rk_spgemm_par": ("i64", ("i64", "i64", "i64",
-                              "IDX*", "IDX*", "f64*",
-                              "IDX*", "IDX*", "f64*",
-                              "IDX*", "IDX*", "f64*",
-                              "i64*", "f64*", "i64*", "i64*")),
     "rk_thresh_apply": ("i64", ("i64", "IDX*", "IDX*", "f64*", "u8*")),
     "rk_window_count": ("i64", ("i64", "i64", "i64", "IDX*", "IDX*",
                                 "i64*", "i64*", "i64*")),
@@ -159,15 +152,10 @@ def _sanitize_load_error(path, profiles: tuple[str, ...]) -> str | None:
     """Why the active sanitizer profile forbids dlopening ``path`` into
     this interpreter, or ``None`` when loading is safe.
 
-    TSan's runtime cannot interpose an already-running uninstrumented
-    CPython (it crashes at initialization), and an ASan library whose
-    runtime is not already loaded *aborts the process* inside dlopen —
-    so both are refused up front instead of attempted.
+    An ASan library whose runtime is not already loaded *aborts the
+    process* inside dlopen, so it is refused up front instead of
+    attempted.
     """
-    if "tsan" in profiles:
-        return (f"tsan build {path} cannot be loaded into CPython; run the "
-                "race check through the native driver "
-                "(tests/test_kernel_sanitize.py)")
     if "asan" in profiles:
         preload = os.environ.get("LD_PRELOAD", "")
         if "asan" not in preload:
@@ -210,13 +198,6 @@ def available() -> bool:
     return load() is not None
 
 
-def openmp_enabled() -> bool:
-    """True when the loaded library was built with OpenMP — i.e. when
-    ``$REPRO_KERNEL_THREADS > 1`` can actually fan the SpGEMM out."""
-    lib = load()
-    return lib is not None and bool(lib.rk_openmp_enabled())
-
-
 # env-keyed memo of the warm-cache stat probe: the probe re-hashes every C
 # source, and the ``auto`` tier consults it on every dispatched conversion.
 # Invalidation: reset() (tests) and a successful in-process build (load()).
@@ -229,8 +210,7 @@ def cached_build_exists() -> bool:
     """True when the ``.so`` for the current sources is already on disk —
     a stat probe that never *runs* a compiler (the ``auto`` tier uses this
     so it cannot trigger a build).  The compiler is still *discovered*
-    (PATH lookups only) because its path is part of the cache key.  Both
-    flag-set variants (OpenMP and serial) count as warm."""
+    (PATH lookups only) because its path is part of the cache key."""
     key = (os.environ.get("REPRO_KERNEL_CACHE"),
            os.environ.get("XDG_CACHE_HOME"),
            os.environ.get("CC"),
@@ -265,16 +245,10 @@ def _idx_suffix(dtype) -> str:
 # kernel wrappers (same contracts as the pure tier)
 # ---------------------------------------------------------------------------
 
-def spgemm_csr(A, B, workspace=None, threads: int = 1):
+def spgemm_csr(A, B, workspace=None):
     """``A @ B`` for canonical CSR operands — scipy-accumulation-order
     row-merge in C, with all intermediates served from ``workspace``
-    (:class:`repro.sparse.spgemm.SpGEMMWorkspace`).
-
-    ``threads > 1`` runs the OpenMP row-parallel variant when the library
-    was built with OpenMP (else the single-pass serial kernel — same
-    bits either way, since every row is computed by identical code)."""
-    from ...sparse.spgemm import SpGEMMWorkspace
-
+    (:class:`repro.kernels.workspace.SpGEMMWorkspace`)."""
     lib = load()
     m = A.shape[0]
     n = B.shape[1]
@@ -298,24 +272,13 @@ def spgemm_csr(A, B, workspace=None, threads: int = 1):
     Bx = B.data.astype(dt, copy=False)
     if workspace is None:
         workspace = SpGEMMWorkspace()
-    nt = max(int(threads), 1)
-    if nt > 1 and not bool(lib.rk_openmp_enabled()):
-        nt = 1  # parallel kernel would run serial anyway; the single-pass
-        # serial kernel is strictly cheaper (no symbolic prepass)
     Cp = np.empty(m + 1, dtype=idx_dtype)
     Cj = np.empty(cap, dtype=idx_dtype)
     Cx = np.empty(cap, dtype=np.float64)
-    if nt > 1:
-        mark, sums, touched = workspace.matmat_buffers(n, nt)
-        rownnz = workspace.row_scratch(m)
-        fn = getattr(lib, "rk_spgemm_par" + _idx_suffix(idx_dtype))
-        nnz = int(fn(m, n, nt, Ap, Aj, Ax, Bp, Bj, Bx, Cp, Cj, Cx,
-                     mark, sums, touched, rownnz))
-    else:
-        mark, sums, touched = workspace.matmat_buffers(n)
-        fn = getattr(lib, "rk_spgemm" + _idx_suffix(idx_dtype))
-        nnz = int(fn(m, n, Ap, Aj, Ax, Bp, Bj, Bx, Cp, Cj, Cx,
-                     mark, sums, touched))
+    mark, sums, touched = workspace.matmat_buffers(n)
+    fn = getattr(lib, "rk_spgemm" + _idx_suffix(idx_dtype))
+    nnz = int(fn(m, n, Ap, Aj, Ax, Bp, Bj, Bx, Cp, Cj, Cx,
+                 mark, sums, touched))
     # sorted_indices=None matches the pure route (rows are emitted in
     # scipy's reverse-insertion order, not sorted)
     return raw_csr(Cx[:nnz], Cj[:nnz], Cp, (m, n), sorted_indices=None)
@@ -536,8 +499,6 @@ def gram_csc(B1, B2, workspace=None):
     ``repro.linalg.cholqr._cross_gram_kernel``), accumulating straight
     out of an internal counting-sort transpose of ``B2`` instead of the
     pure route's per-call ``tocsr`` + ``sort_indices`` + index upcasts."""
-    from ...sparse.spgemm import SpGEMMWorkspace
-
     lib = load()
     m, c1 = B1.shape
     if lib is None or B2.shape[0] != m \
@@ -579,8 +540,6 @@ def schur_diff_csc(A, C, tol: float, workspace=None):
     ``tocsc()`` — one pass plus one counting sort instead of three
     materialized intermediates.  Returns ``None`` when the inputs fall
     outside the kernel contract (the caller runs the pure composition)."""
-    from ...sparse.spgemm import SpGEMMWorkspace
-
     lib = load()
     m, n = A.shape
     if lib is None or A.data.dtype != np.float64 \

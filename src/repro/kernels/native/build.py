@@ -17,16 +17,12 @@ of the procs backend can race on a cold cache safely: every rank either
 finds the finished ``.so`` or produces an identical one.
 
 Sanitizer profiles: ``$REPRO_KERNEL_SANITIZE`` selects instrumented
-builds (``asan``, ``ubsan``, ``tsan``, or a comma list such as
-``asan,ubsan``).  The sanitizer flags are part of the compile command
-and therefore of the SHA-256 cache key, so instrumented and plain
-builds never collide.  Loading an instrumented library into an
-*uninstrumented* CPython needs loader support — see
-:func:`sanitizer_env` and ``python -m repro.kernels.native.build
---sanitize-env`` — and TSan builds cannot be loaded into CPython at
-all (the interposed runtime crashes the interpreter); the race check
-drives them through a native harness instead
-(``tests/test_kernel_sanitize.py``).
+builds (``asan``, ``ubsan``, or the comma list ``asan,ubsan``).  The
+sanitizer flags are part of the compile command and therefore of the
+SHA-256 cache key, so instrumented and plain builds never collide.
+Loading an instrumented library into an *uninstrumented* CPython needs
+loader support — see :func:`sanitizer_env` and ``python -m
+repro.kernels.native.build --sanitize-env``.
 """
 
 from __future__ import annotations
@@ -47,28 +43,14 @@ LIB_NAME = "librepro_kernels.so"
 #: requires strict IEEE semantics in the exact source order.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99", "-fvisibility=hidden")
 
-#: Preferred flag set: same as CFLAGS plus OpenMP, which the row-parallel
-#: SpGEMM uses for its rank-local threads.  Builds try this first and fall
-#: back to the serial CFLAGS when the toolchain lacks OpenMP support (old
-#: clang without libomp, musl cc, ...); the kernels guard every pragma with
-#: ``#ifdef _OPENMP`` and run identical per-row code serially, so which
-#: variant got built never changes results — only whether
-#: ``$REPRO_KERNEL_THREADS > 1`` can actually fan out.
-CFLAGS_OPENMP = CFLAGS + ("-fopenmp",)
-
-#: Flag sets in build preference order.
-FLAG_SETS = (CFLAGS_OPENMP, CFLAGS)
-
 #: Environment knob selecting sanitizer-instrumented builds.
 SANITIZE_ENV = "REPRO_KERNEL_SANITIZE"
 
-#: Per-profile sanitizer flags, in canonical profile order.  ``asan`` and
-#: ``ubsan`` compose (``asan,ubsan``); ``tsan`` is exclusive — GCC/Clang
-#: refuse -fsanitize=thread combined with -fsanitize=address.
+#: Per-profile sanitizer flags, in canonical profile order; the two
+#: profiles compose (``asan,ubsan``).
 SANITIZER_CFLAGS: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address",),
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=undefined"),
-    "tsan": ("-fsanitize=thread",),
 }
 
 #: Flags every instrumented build gets: frame pointers and debug info so
@@ -81,7 +63,6 @@ SANITIZE_COMMON_CFLAGS = ("-fno-omit-frame-pointer", "-g")
 #: ``libclang_rt`` name.
 SANITIZER_RUNTIMES: dict[str, tuple[str, ...]] = {
     "asan": ("libasan.so", "libclang_rt.asan-x86_64.so"),
-    "tsan": ("libtsan.so", "libclang_rt.tsan-x86_64.so"),
 }
 
 _SRC_DIR = Path(__file__).resolve().parent / "src"
@@ -122,11 +103,11 @@ last_failure: BuildFailure | None = None
 def sanitize_profiles(raw: str | None = None) -> tuple[str, ...]:
     """Parse ``$REPRO_KERNEL_SANITIZE`` into a canonical profile tuple.
 
-    Accepts a comma/space-separated subset of ``asan``/``ubsan``/``tsan``
+    Accepts a comma/space-separated subset of ``asan``/``ubsan``
     (case-insensitive, duplicates collapsed, canonical order).  Raises
-    :class:`ValueError` for unknown names and for ``tsan`` combined with
-    another sanitizer — loud failure is right for an explicit debug
-    knob; a typo must not silently produce an uninstrumented build.
+    :class:`ValueError` for unknown names — loud failure is right for an
+    explicit debug knob; a typo must not silently produce an
+    uninstrumented build.
     """
     if raw is None:
         raw = os.environ.get(SANITIZE_ENV, "")
@@ -138,11 +119,6 @@ def sanitize_profiles(raw: str | None = None) -> tuple[str, ...]:
         raise ValueError(
             f"unknown sanitizer profile(s) {sorted(unknown)!r} in "
             f"${SANITIZE_ENV} (choose from {' | '.join(SANITIZER_CFLAGS)})")
-    if "tsan" in names and len(names) > 1:
-        raise ValueError(
-            f"${SANITIZE_ENV}: 'tsan' cannot be combined with other "
-            "sanitizers (the compilers reject -fsanitize=thread together "
-            "with address/undefined)")
     return tuple(p for p in SANITIZER_CFLAGS if p in names)
 
 
@@ -168,15 +144,12 @@ def sanitize_cflags(profiles: tuple[str, ...] | None = None,
     return tuple(flags) + SANITIZE_COMMON_CFLAGS
 
 
-def flag_sets(compiler: str | None = None) -> tuple[tuple[str, ...], ...]:
-    """The flag sets a build will try, in preference order, with the
-    active sanitizer profile folded in.  Sanitizer flags are part of the
-    compile command and hence of :func:`source_hash` — an instrumented
-    build can never be served from (or poison) the plain cache."""
-    extra = sanitize_cflags(compiler=compiler)
-    if not extra:
-        return FLAG_SETS
-    return tuple(fs + extra for fs in FLAG_SETS)
+def flag_set(compiler: str | None = None) -> tuple[str, ...]:
+    """The compile flags of a build: :data:`CFLAGS` with the active
+    sanitizer profile folded in.  Sanitizer flags are part of the compile
+    command and hence of :func:`source_hash` — an instrumented build can
+    never be served from (or poison) the plain cache."""
+    return CFLAGS + sanitize_cflags(compiler=compiler)
 
 
 def sanitizer_runtime(profile: str,
@@ -216,10 +189,6 @@ def sanitizer_env(profiles: tuple[str, ...] | None = None,
       reports.
     - ``ubsan``: nothing — ``libubsan`` is an ordinary ``DT_NEEDED``
       dependency of the instrumented library and resolves at dlopen.
-    - ``tsan``: *no* environment makes this safe; the TSan runtime
-      cannot interpose an already-running CPython (it crashes at
-      preload).  Race checks run the instrumented library through a
-      native driver instead (``tests/test_kernel_sanitize.py``).
     """
     profs = sanitize_profiles() if profiles is None else tuple(profiles)
     env: dict[str, str] = {}
@@ -277,7 +246,7 @@ def cache_root() -> Path:
 
 def source_hash(sources: list[Path] | None = None,
                 compiler: str | None = None,
-                cflags: tuple[str, ...] = CFLAGS_OPENMP) -> str:
+                cflags: tuple[str, ...] = CFLAGS) -> str:
     """SHA-256 over source names+contents and the compile configuration.
 
     Any edit to a ``.c``/``.h``/``.inc`` file, a flag change, or a
@@ -299,7 +268,7 @@ def source_hash(sources: list[Path] | None = None,
 def cached_library_path(sources: list[Path] | None = None,
                         cache_dir: Path | None = None,
                         compiler: str | None = None,
-                        cflags: tuple[str, ...] = CFLAGS_OPENMP) -> Path:
+                        cflags: tuple[str, ...] = CFLAGS) -> Path:
     """Where the build for the current sources lives (existing or not)."""
     root = Path(cache_dir) if cache_dir is not None else cache_root()
     return root / source_hash(sources, compiler, cflags)[:16] / LIB_NAME
@@ -308,16 +277,11 @@ def cached_library_path(sources: list[Path] | None = None,
 def cached_library_paths(sources: list[Path] | None = None,
                          cache_dir: Path | None = None,
                          compiler: str | None = None) -> list[Path]:
-    """Candidate cache locations, one per flag set in preference order.
-
-    A warm-cache probe must stat every candidate: a host whose toolchain
-    lacks OpenMP caches under the serial-flag hash, and the ``auto`` tier
-    should still find that build without ever invoking a compiler.
-    Sanitizer profiles shift every candidate to its instrumented hash.
-    """
-    srcs = sources if sources is not None else source_files()
-    return [cached_library_path(srcs, cache_dir, compiler, fl)
-            for fl in flag_sets(compiler)]
+    """The cache locations a warm-cache probe stats — the one build of
+    the current sources under :func:`flag_set`, so an active sanitizer
+    profile shifts it to its instrumented hash."""
+    return [cached_library_path(sources, cache_dir, compiler,
+                                flag_set(compiler))]
 
 
 def build_library(sources: list[Path] | None = None,
@@ -325,8 +289,7 @@ def build_library(sources: list[Path] | None = None,
                   compiler: str | None = None) -> Path | None:
     """Compile (or reuse) the native kernel library; ``None`` on failure.
 
-    The happy path on a warm cache is two ``stat`` calls — no compiler is
-    even looked up unless a build is actually needed.
+    The happy path on a warm cache is one ``stat`` call.
     """
     global last_error, last_failure
     srcs = sources if sources is not None else source_files()
@@ -335,27 +298,24 @@ def build_library(sources: list[Path] | None = None,
         last_error = "no C sources found"
         return None
     cc = compiler or find_compiler()
-    for flags in flag_sets(cc):
-        out = cached_library_path(srcs, cache_dir, cc, flags)
-        if out.exists():
-            last_failure = None
-            return out
+    flags = flag_set(cc)
+    out = cached_library_path(srcs, cache_dir, cc, flags)
+    if out.exists():
+        last_failure = None
+        return out
     if cc is None:
         last_error = "no C compiler on PATH (set $CC or install cc/gcc/clang)"
         return None
-    for flags in flag_sets(cc):
-        out = _compile(cc, flags, c_files,
-                       cached_library_path(srcs, cache_dir, cc, flags))
-        if out is not None:
-            last_error = None
-            last_failure = None
-            return out
-    return None
+    if _compile(cc, flags, c_files, out) is None:
+        return None
+    last_error = None
+    last_failure = None
+    return out
 
 
 def _compile(cc: str, cflags: tuple[str, ...], c_files: list[Path],
              out: Path) -> Path | None:
-    """One compile attempt with one flag set; records ``last_error`` and
+    """One compile attempt; records ``last_error`` and
     ``last_failure`` and leaves no temp object (or empty hash directory)
     behind on the failure paths."""
     global last_error, last_failure
@@ -395,64 +355,6 @@ def _compile(cc: str, cflags: tuple[str, ...], c_files: list[Path],
                     pass
 
 
-#: Native check harnesses (not part of the kernel library build — the
-#: ``checks/`` directory is outside :func:`source_files`'s scope).
-CHECKS_DIR = _SRC_DIR.parent / "checks"
-
-
-def race_driver_source() -> Path:
-    """The TSan race harness for the OpenMP SpGEMM (see the file's
-    comment block for why races need a native driver at all)."""
-    return CHECKS_DIR / "race_spgemm.c"
-
-
-def build_race_driver(kernel_lib: Path,
-                      compiler: str | None = None) -> Path | None:
-    """Compile the race driver against an already-built ``tsan``-profile
-    kernel library; returns the executable path or ``None`` (with
-    ``last_error`` recording why).
-
-    The driver itself is instrumented (``-fsanitize=thread``) and links
-    ``kernel_lib`` directly with an rpath, so running it needs no loader
-    environment — only ``TSAN_OPTIONS`` to pick report behaviour.
-    """
-    global last_error
-    cc = compiler or find_compiler()
-    if cc is None:
-        last_error = "no C compiler on PATH (set $CC or install cc/gcc/clang)"
-        return None
-    src = race_driver_source()
-    if not src.exists():
-        last_error = f"race driver source missing: {src}"
-        return None
-    out = Path(kernel_lib).parent / "race_spgemm"
-    fd, tmp = tempfile.mkstemp(dir=str(out.parent))
-    os.close(fd)
-    cmd = [cc, "-O2", "-g", "-std=c99", "-fopenmp", "-fsanitize=thread",
-           "-fno-omit-frame-pointer", "-o", tmp, str(src),
-           str(kernel_lib), f"-Wl,-rpath,{Path(kernel_lib).parent}", "-lm"]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=120)
-        if proc.returncode != 0:
-            last_error = (f"{' '.join(cmd)} failed "
-                          f"(rc={proc.returncode}): {proc.stderr.strip()}")
-            return None
-        os.chmod(tmp, 0o755)
-        os.replace(tmp, out)
-        tmp = None
-        return out
-    except (OSError, subprocess.SubprocessError) as exc:
-        last_error = f"race driver build failed: {exc}"
-        return None
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
 def _main(argv: list[str] | None = None) -> int:
     """``python -m repro.kernels.native.build`` — build/inspect helper.
 
@@ -483,7 +385,7 @@ def _main(argv: list[str] | None = None) -> int:
         for key, val in sanitizer_env(compiler=cc).items():
             print(f"export {key}={shlex.quote(val)}")
     if args.cache_key:
-        print(source_hash(compiler=cc, cflags=flag_sets(cc)[0])[:16])
+        print(source_hash(compiler=cc, cflags=flag_set(cc))[:16])
     if args.build:
         path = build_library()
         if path is None:

@@ -22,44 +22,6 @@
 #define RK_EXPORT __attribute__((visibility("default")))
 #endif
 
-/* ThreadSanitizer happens-before annotations for the OpenMP fork/join
- * edges.  GCC's libgomp is not TSan-instrumented, so the implicit
- * barrier at the end of a `#pragma omp parallel` region is invisible to
- * TSan and every write inside a region would be reported as racing with
- * the serial code after it.  The annotations model exactly (and only)
- * the synchronization the runtime really provides — a release by the
- * forking thread at region entry, acquire by each worker; release by
- * each worker at region exit, acquire by the joining thread — so races
- * *between* workers inside a region stay fully detectable.  Two
- * distinct tag addresses keep the entry and exit edges from creating
- * spurious worker-to-worker orderings.  No-ops unless the library is
- * built with -fsanitize=thread (REPRO_KERNEL_SANITIZE=tsan). */
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
-#define __SANITIZE_THREAD__ 1
-#endif
-#endif
-#if defined(__SANITIZE_THREAD__)
-void __tsan_acquire(void *addr);
-void __tsan_release(void *addr);
-#define RK_TSAN_ACQUIRE(p) __tsan_acquire(p)
-#define RK_TSAN_RELEASE(p) __tsan_release(p)
-/* The fork/join *wrapper* is excluded from TSan instrumentation: GCC
- * materializes the region's capture struct on the forking thread's
- * stack at the pragma itself — before any statement an annotation
- * could precede — so the wrapper's compiler-generated writes are
- * unorderable false positives.  Its serial phases are ordered by the
- * region barriers (annotated above), and the per-row worker functions
- * carrying the actual race surface stay fully instrumented.  The
- * RK_TSAN_* annotations are explicit calls and still run inside an
- * uninstrumented function. */
-#define RK_NO_TSAN __attribute__((no_sanitize_thread))
-#else
-#define RK_TSAN_ACQUIRE(p) ((void)(p))
-#define RK_TSAN_RELEASE(p) ((void)(p))
-#define RK_NO_TSAN
-#endif
-
 /* ---------------------------------------------------------------------
  * Exported ABI.
  *
@@ -73,9 +35,6 @@ void __tsan_release(void *addr);
  * (int32_t/int64_t/unsigned char — never int/long/size_t), and no
  * `restrict` qualifiers (those live on the definitions).
  * ------------------------------------------------------------------ */
-
-/* Capability probe: 1 when the library was built with OpenMP, else 0. */
-RK_EXPORT int64_t rk_openmp_enabled(void);
 
 /* Fused ILUT mu-threshold accounting pass (threshold.c). */
 RK_EXPORT int64_t rk_thresh_mask(
@@ -99,20 +58,6 @@ RK_EXPORT int64_t rk_spgemm_i64(
     const int64_t *Bp, const int64_t *Bj, const double *Bx,
     int64_t *Cp, int64_t *Cj, double *Cx,
     int64_t *mark, double *sums, int64_t *touched);
-
-/* OpenMP row-parallel SpGEMM (spgemm_par_impl.inc). */
-RK_EXPORT int64_t rk_spgemm_par_i32(
-    int64_t n_row, int64_t n_col, int64_t nthreads,
-    const int32_t *Ap, const int32_t *Aj, const double *Ax,
-    const int32_t *Bp, const int32_t *Bj, const double *Bx,
-    int32_t *Cp, int32_t *Cj, double *Cx,
-    int64_t *mark, double *sums, int64_t *touched, int64_t *rownnz);
-RK_EXPORT int64_t rk_spgemm_par_i64(
-    int64_t n_row, int64_t n_col, int64_t nthreads,
-    const int64_t *Ap, const int64_t *Aj, const double *Ax,
-    const int64_t *Bp, const int64_t *Bj, const double *Bx,
-    int64_t *Cp, int64_t *Cj, double *Cx,
-    int64_t *mark, double *sums, int64_t *touched, int64_t *rownnz);
 
 /* Fused ILUT mu-threshold apply+compact pass (threshold_impl.inc). */
 RK_EXPORT int64_t rk_thresh_apply_i32(

@@ -15,14 +15,8 @@ from ..sparse.ops import csr_matmul_nosym
 from ..sparse.utils import drop_explicit_zeros
 
 
-def spgemm_csr(A, B, workspace=None, threads: int = 1):
-    """``A @ B`` on canonical CSR operands (scipy accumulation order).
-
-    ``workspace`` and ``threads`` are accepted for signature parity with
-    the native tier and ignored: scipy's kernel owns its intermediates
-    and runs serially.
-    """
-    del workspace, threads
+def spgemm_csr(A, B):
+    """``A @ B`` on canonical CSR operands (scipy accumulation order)."""
     return csr_matmul_nosym(A, B)
 
 
@@ -61,13 +55,11 @@ def gram_csc(B1, B2, workspace=None):
     return _cross_gram_kernel(B1, B2)
 
 
-def schur_update_csc(A22, F, A12, tol: float | None = None,
-                     workspace=None, threads: int = 1):
+def schur_update_csc(A22, F, A12, tol: float | None = None):
     """The Schur-complement update ``(A22 - F @ A12).tocsc()`` with the
     explicit-zero drop applied when ``tol`` is not ``None`` — exactly the
     optimized-route composition the solvers ran before this entry point
     existed."""
-    del workspace, threads
     schur = (A22 - csr_matmul_nosym(F, A12)).tocsc()
     if tol is not None:
         drop_explicit_zeros(schur, tol=tol)

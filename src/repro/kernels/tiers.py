@@ -1,7 +1,7 @@
 """Kernel tier registry and dispatch.
 
-Two tiers serve the sparse hot-path kernels (row-merge SpGEMM — serial
-and OpenMP row-parallel — fused ILUT thresholding, the Schur index-window
+Two tiers serve the sparse hot-path kernels (row-merge SpGEMM, fused
+ILUT thresholding, the Schur index-window
 scatter/gather, CSR<->CSC conversion, the tournament column gather, the
 dense panel cross-Gram, the fused Schur difference, and the pivot argmin
 scan):
@@ -37,6 +37,7 @@ import warnings
 from .. import perf
 from . import native
 from . import pure
+from .workspace import SpGEMMWorkspace
 
 #: Registered tiers, in fallback order.
 TIERS = ("pure", "native")
@@ -48,27 +49,8 @@ TIER_REQUESTS = ("auto",) + TIERS
 #: sets it to force the compiled tier under the whole test suite).
 TIER_ENV = "REPRO_KERNEL_TIER"
 
-#: Rank-local thread count of the OpenMP parallel SpGEMM.  Parsed fresh
-#: per dispatched call (an env read — the SPMD procs backend pins it to 1
-#: in each rank process so P ranks never oversubscribe P cores).  The
-#: result is bitwise-independent of this value: every output row is
-#: computed by the identical per-row code at any thread count.
-THREADS_ENV = "REPRO_KERNEL_THREADS"
-
 _tl = threading.local()
 _warned_unavailable = False
-
-
-def kernel_threads() -> int:
-    """The rank-local SpGEMM thread count from ``$REPRO_KERNEL_THREADS``
-    (default and floor 1; non-numeric values read as 1)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 def _thread_state():
@@ -142,15 +124,8 @@ def resolve_tier(request: str | None = None) -> str:
 
 
 def record_tier(tier: str) -> str:
-    """Count one solve on ``tier`` in the perf counters; returns ``tier``.
-
-    Native solves also record the rank-local SpGEMM thread count as the
-    ``kernel_tier.threads`` gauge (last solve wins) — the provenance that
-    says what ``$REPRO_KERNEL_THREADS`` actually resolved to."""
+    """Count one solve on ``tier`` in the perf counters; returns ``tier``."""
     perf.incr(f"kernel_tier.{tier}")
-    if tier == "native" and perf.is_enabled():
-        perf.get_recorder().counters["kernel_tier.threads"] = \
-            float(kernel_threads())
     return tier
 
 
@@ -180,23 +155,20 @@ def _thread_workspace(workspace=None):
     state = _thread_state()
     ws = state.get("spgemm_ws")
     if ws is None:
-        from ..sparse.spgemm import SpGEMMWorkspace
         ws = state["spgemm_ws"] = SpGEMMWorkspace()
     return ws
 
 
 def spgemm_csr(A, B, *, tier: str | None = None, workspace=None):
     """``A @ B`` on canonical CSR operands — scipy accumulation order,
-    bitwise-identical across tiers (and across
-    ``$REPRO_KERNEL_THREADS`` values on the native tier).  ``workspace``
-    (a :class:`repro.sparse.spgemm.SpGEMMWorkspace`) lets the native tier
-    reuse its accumulator and output buffers across calls; when omitted a
-    thread-local workspace is used."""
+    bitwise-identical across tiers.  ``workspace`` (a
+    :class:`SpGEMMWorkspace`) lets the native tier reuse its accumulator
+    buffers across calls; when omitted a thread-local workspace is
+    used."""
     mod, t = _impl(tier)
     if t == "native":
-        return mod.spgemm_csr(A, B, workspace=_thread_workspace(workspace),
-                              threads=kernel_threads())
-    return mod.spgemm_csr(A, B, workspace=workspace)
+        return mod.spgemm_csr(A, B, workspace=_thread_workspace(workspace))
+    return mod.spgemm_csr(A, B)
 
 
 def threshold_mask(A, mu: float, *, tier: str | None = None):
@@ -291,7 +263,7 @@ def schur_update_csc(A22, F, A12, *, tol: float | None = None,
     mod, t = _impl(tier)
     if t == "native":
         ws = _thread_workspace(workspace)
-        C = mod.spgemm_csr(F, A12, workspace=ws, threads=kernel_threads())
+        C = mod.spgemm_csr(F, A12, workspace=ws)
         S = mod.schur_diff_csc(A22, C, 0.0 if tol is None else tol,
                                workspace=ws)
         if S is not None:

@@ -102,9 +102,8 @@ class AbiIssue:
 def _strip_comments(text: str) -> str:
     """Drop comments and preprocessor lines.
 
-    Directive stripping keeps ``#define RK_EXPORT ...`` (and the guarded
-    ``__tsan_*`` declarations, which carry no ``RK_EXPORT``) from being
-    misread as prototypes; multi-line directives use ``\\``
+    Directive stripping keeps ``#define RK_EXPORT ...`` from being
+    misread as a prototype; multi-line directives use ``\\``
     continuations, which the grammar does not allow in prototypes.
     """
     text = _COMMENT_RE.sub(" ", text)

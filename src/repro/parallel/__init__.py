@@ -50,9 +50,7 @@ from .perfmodel import (
 from .report import (
     CommReport,
     ScalingCurve,
-    comm_volume_table,  # deprecated shim: use CommReport.table
     speedup_table,
-    summarize_ledgers,  # deprecated shim: use CommReport.from_ledgers
 )
 from .replay import (
     ExtrapolationReport,
@@ -64,7 +62,6 @@ from .replay import (
     trace_diff,
 )
 from .spmd import spmd_randqb_ei, spmd_lu_crtp, spmd_randubv, run_spmd_solver
-from .dist_dense import ProcessGrid, DistDense
 
 __all__ = [
     "MachineModel",
@@ -75,7 +72,6 @@ __all__ = [
     "BACKENDS",
     "COMM_ALGOS",
     "CommLedger",
-    "summarize_ledgers",
     "ProcComm",
     "run_spmd_procs",
     "SharedMatrix",
@@ -103,7 +99,6 @@ __all__ = [
     "strong_scaling",
     "ScalingCurve",
     "CommReport",
-    "comm_volume_table",
     "speedup_table",
     "ReplayReport",
     "ExtrapolationReport",
@@ -117,6 +112,4 @@ __all__ = [
     "spmd_lu_crtp",
     "spmd_randubv",
     "run_spmd_solver",
-    "ProcessGrid",
-    "DistDense",
 ]

@@ -55,7 +55,6 @@ count post-recovery work only.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -579,11 +578,6 @@ def _rank_main(rank: int, nprocs: int, program, args: tuple, kwargs: dict,
     """
     attached = []
     ctrl = None
-    # P rank processes already occupy P cores: pin each rank's OpenMP
-    # SpGEMM to one thread so the native kernel tier never oversubscribes
-    # the host (results are bitwise-independent of the thread count, so
-    # this is purely a scheduling decision).
-    os.environ["REPRO_KERNEL_THREADS"] = "1"
     try:
         ctrl = _CtrlBlock(nprocs, name=ctrl_name)
         args, attached = resolve_args(args)

@@ -26,7 +26,6 @@ from .ops import (
 from .thresholding import (drop_small, drop_sorted_budget, DropResult,
                            apply_threshold_mask, threshold_mask)
 from .pattern import ata_pattern_degrees, column_counts
-from .spgemm import SpGEMMWorkspace, spgemm, spgemm_flops
 from .fillin import FillInTracker
 from .window import (csr_row_window, dense_rows_to_csr,
                      extract_leading_columns, gather_positions,
@@ -55,9 +54,6 @@ __all__ = [
     "threshold_mask",
     "ata_pattern_degrees",
     "column_counts",
-    "SpGEMMWorkspace",
-    "spgemm",
-    "spgemm_flops",
     "FillInTracker",
     "csr_row_window",
     "dense_rows_to_csr",

@@ -1,12 +1,10 @@
 """Tests for the unified solver API: registry, SolverConfig, result schema."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.api.registry as registry_mod
 from repro.api import (
     SOLVERS,
     SolverConfig,
@@ -97,21 +95,6 @@ def test_spec_metadata():
     assert not get_spec("ubv").supports_checkpoint
     assert not get_spec("ilut").supports_spmd
     assert set(SOLVERS) == {"randqb", "ubv", "lu", "ilut"}
-
-
-# -- deprecation shim -------------------------------------------------------
-
-def test_legacy_kwargs_warn_once():
-    registry_mod._warned_kwargs_shim = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s1 = make_solver("lu", k=4, tol=1e-1, l_formula="auto")
-        s2 = make_solver("randqb", k=4, tol=1e-1, power=2)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1  # warns once per process
-    assert s1.k == 4 and s1.l_formula == "auto"
-    assert s2.power == 2
 
 
 # -- SolverConfig -----------------------------------------------------------

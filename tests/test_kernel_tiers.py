@@ -28,10 +28,9 @@ from repro import kernels
 from repro.core.ilut_crtp import ILUT_CRTP
 from repro.core.lu_crtp import LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
-from repro.kernels import native, pure, tiers
+from repro.kernels import SpGEMMWorkspace, native, pure, tiers
 from repro.kernels.native import build
 from repro.parallel.spmd import run_spmd_solver
-from repro.sparse.spgemm import SpGEMMWorkspace
 
 HAS_NATIVE = kernels.native_available()
 needs_native = pytest.mark.skipif(
@@ -455,22 +454,8 @@ def test_convert_perf_counters():
         counters = perf.get_recorder().counters
         assert counters.get("kernel_tier.convert_calls", 0) >= 1
         assert counters.get("kernel_tier.convert_seconds", 0) > 0
-        tiers.record_tier("native")
-        assert counters.get("kernel_tier.threads") == float(
-            kernels.kernel_threads())
     finally:
         perf.disable()
-
-
-def test_kernel_threads_env(monkeypatch):
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
-    assert kernels.kernel_threads() == 1
-    monkeypatch.setenv(kernels.THREADS_ENV, "4")
-    assert kernels.kernel_threads() == 4
-    monkeypatch.setenv(kernels.THREADS_ENV, "0")
-    assert kernels.kernel_threads() == 1  # floor
-    monkeypatch.setenv(kernels.THREADS_ENV, "lots")
-    assert kernels.kernel_threads() == 1  # non-numeric reads as 1
 
 
 # -- gram / fused Schur ------------------------------------------------------
@@ -605,68 +590,6 @@ def test_schur_update_exact_cancellation():
     got = kernels.schur_update_csc(A22, F, A12, tol=0.0, tier="native")
     assert got.nnz == 0
     _assert_bitwise_csc(ref, got)
-
-
-# -- OpenMP parallel SpGEMM --------------------------------------------------
-
-@needs_native
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
-def test_spgemm_thread_count_independence(threads, monkeypatch):
-    monkeypatch.setenv(kernels.THREADS_ENV, threads)
-    A, B = _pair(90, 70, seed=60)
-    ref = sp.csr_matrix(pure.spgemm_csr(A, B))
-    got = sp.csr_matrix(kernels.spgemm_csr(A, B, tier="native"))
-    _assert_bitwise_csr(ref, got)
-
-
-@needs_native
-def test_parallel_spgemm_no_races(monkeypatch):
-    # 8 Python threads each running the OpenMP SpGEMM at 8 kernel threads
-    # through thread-local workspaces, mirroring the serial race test
-    monkeypatch.setenv(kernels.THREADS_ENV, "8")
-    cases = []
-    for seed in range(4):
-        A, B = _pair(50, 35, seed=70 + seed)
-        cases.append((A, B, sp.csr_matrix(pure.spgemm_csr(A, B))))
-    failures = []
-
-    def worker(idx):
-        A, B, ref = cases[idx % len(cases)]
-        for _ in range(25):
-            C = sp.csr_matrix(kernels.spgemm_csr(A, B, tier="native"))
-            if not (np.array_equal(C.indptr, ref.indptr)
-                    and np.array_equal(C.indices, ref.indices)
-                    and np.array_equal(C.data, ref.data)):
-                failures.append(idx)
-                return
-
-    workers = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    assert not failures
-
-
-@needs_native
-def test_parallel_spgemm_restores_mark_invariant(monkeypatch):
-    monkeypatch.setenv(kernels.THREADS_ENV, "4")
-    A, B = _pair(60, 40, seed=15)
-    ws = SpGEMMWorkspace()
-    kernels.spgemm_csr(A, B, tier="native", workspace=ws)
-    assert (ws._mm_mark == -1).all()
-
-
-@needs_native
-def test_e2e_parity_across_thread_counts(monkeypatch):
-    A = _m2_analogue(150)
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv(kernels.THREADS_ENV, threads)
-        results.append(LU_CRTP(k=8, tol=1e-6, max_rank=32,
-                               kernel_tier="native",
-                               raise_on_failure=False).solve(A))
-    _assert_same_lu(results[0], results[1])
 
 
 # -- factor-conversion caching (repro.core.apply) ----------------------------

@@ -263,22 +263,6 @@ def test_config_machine_normalized_and_cache_key():
     assert rt.cache_key() == tree.cache_key()
 
 
-def test_deprecated_summarize_ledgers_shim(A96):
-    import warnings
-
-    import repro.parallel.report as report_mod
-    from repro.parallel import summarize_ledgers
-    out = _capture(A96, 2)
-    ledgers = out["ledgers"]
-    report_mod._warned_summarize_ledgers = False
-    with pytest.warns(DeprecationWarning, match="summarize_ledgers"):
-        d = summarize_ledgers(ledgers, backend="threads", algo="flat")
-    assert d == out["comm"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # warns only once per process
-        summarize_ledgers(ledgers, backend="threads", algo="flat")
-
-
 # ---------------------------------------------------------------------------
 # CLI: solve --trace / trace replay|extrapolate|diff
 # ---------------------------------------------------------------------------
