@@ -7,8 +7,6 @@ root (the committed copy documents the speedups on the reference machine):
 - ``spgemm``            — the ``F @ A12`` product of the Schur update:
                           scipy's row-merge vs the native C row-merge
                           (tracked per tier; no pre-optimization route);
-- ``csr_to_csc``        — scipy ``tocsc()``/``tocsr()`` round trip vs the
-                          native counting-sort conversion;
 - ``permute_split``     — pure fused permute + 2x2 split vs the native
                           window scatter (dense-A11 variant included);
 - ``schur_update``      — reference permute + ``split_2x2`` + scipy ``@``
@@ -17,8 +15,6 @@ root (the committed copy documents the speedups on the reference machine):
                           fused ``schur_update_csc`` dispatch;
 - ``thresholding``      — copying :func:`drop_small` vs the fused
                           mask-then-apply-in-place route;
-- ``pivot_scan``        — the colamd packed-key argmin-consume loop
-                          (tracked per tier; no pre-optimization route);
 - ``tsqr``              — communication-avoiding tall-skinny QR (tracked
                           for drift; not changed by the optimization);
 - ``lu_crtp_e2e`` / ``ilut_crtp_e2e`` — full solves on the fill-in-heavy
@@ -149,31 +145,6 @@ def bench_spgemm(quick: bool, repeats: int, native: bool) -> dict:
     return entry
 
 
-def bench_csr_to_csc(quick: bool, repeats: int, native: bool) -> dict:
-    """The conversion tax itself: scipy's ``tocsc()`` vs the native
-    counting-sort kernel, on a Schur-complement-sized operand."""
-    n = 800 if quick else 1500
-    rng = np.random.default_rng(8)
-    A = sp.random(n, n, density=0.05, random_state=rng, format="csr")
-    A.sort_indices()
-
-    t_pure = _mintime(lambda: kernels.csr_to_csc(A, tier="pure"), repeats)
-    entry = {"before_s": t_pure, "after_s": t_pure,
-             "detail": f"{n}x{n} d=0.05 CSR->CSC; scipy counting sort on "
-                       "both columns, native = C counting sort (bitwise "
-                       "identical, same index dtypes)"}
-    if native:
-        got = kernels.csr_to_csc(A, tier="native")
-        ref = A.tocsc()
-        assert (np.array_equal(got.indptr, ref.indptr)
-                and np.array_equal(got.indices, ref.indices)
-                and np.array_equal(got.data, ref.data)), \
-            "conversion tiers disagree"
-        _add_native_tier(entry, _mintime(
-            lambda: kernels.csr_to_csc(A, tier="native"), repeats))
-    return entry
-
-
 def bench_permute_split(quick: bool, repeats: int, native: bool) -> dict:
     """The fused permute + 2x2 split window pass on its own (the
     ``schur_update`` bench measures it composed with the multiply).
@@ -289,43 +260,6 @@ def bench_thresholding(quick: bool, repeats: int, native: bool) -> dict:
     return entry
 
 
-def bench_pivot_scan(quick: bool, repeats: int, native: bool) -> dict:
-    """The colamd elimination loop's pivot selection: repeated first-minimum
-    argmin over a packed (degree, index) int64 key, retiring each winner
-    with a sentinel.  No pre-optimization route exists, so ``before_s`` ==
-    ``after_s`` (the pure np.argmin dispatch) and the native column carries
-    the comparison.  Sizes sit below the ``_PIVOT_SCAN_CAP`` crossover
-    (the regime the C scan actually serves; above it the native wrapper
-    delegates back to numpy's SIMD argmin)."""
-    n = 256 if quick else 512
-    rng = np.random.default_rng(6)
-    master = rng.integers(0, n * (n + 1), size=n, dtype=np.int64)
-    sent = np.iinfo(np.int64).max
-
-    def consume(tier: str) -> float:
-        key = master.copy()
-        t0 = time.perf_counter()
-        for _ in range(n):
-            kernels.pivot_argmin_consume(key, sent, tier=tier)
-        return time.perf_counter() - t0
-
-    key_p, key_n = master.copy(), master.copy()
-    order_p = [kernels.pivot_argmin_consume(key_p, sent, tier="pure")
-               for _ in range(n)]
-    t = min(consume("pure") for _ in range(repeats))
-    entry = {"before_s": t, "after_s": t,
-             "detail": f"{n} consuming argmin scans over an n={n} packed "
-                       "int64 key (colamd pivot loop); pure np.argmin "
-                       "dispatch, native = branchless two-phase C scan"}
-    if native:
-        order_n = [kernels.pivot_argmin_consume(key_n, sent, tier="native")
-                   for _ in range(n)]
-        assert order_p == order_n, "pivot tiers disagree"
-        _add_native_tier(entry, min(consume("native")
-                                    for _ in range(repeats)))
-    return entry
-
-
 def bench_tsqr(quick: bool, repeats: int) -> dict:
     m = 2000 if quick else 20000
     rng = np.random.default_rng(5)
@@ -422,11 +356,9 @@ def run(quick: bool) -> dict:
     native = kernels.native_available()
     benches = {
         "spgemm": bench_spgemm(quick, max(repeats, 3), native),
-        "csr_to_csc": bench_csr_to_csc(quick, max(repeats, 5), native),
         "permute_split": bench_permute_split(quick, max(repeats, 5), native),
         "schur_update": bench_schur_update(quick, max(repeats, 3), native),
         "thresholding": bench_thresholding(quick, max(repeats, 5), native),
-        "pivot_scan": bench_pivot_scan(quick, max(repeats, 5), native),
         "tsqr": bench_tsqr(quick, max(repeats, 3)),
         # e2e columns gate in CI (--min-native-e2e); 3 quick repeats keep
         # the min-time stable enough for a >= 1.0 gate on shared runners

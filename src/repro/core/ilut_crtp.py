@@ -114,7 +114,7 @@ class ILUT_CRTP(LU_CRTP):
 
         col_perm = np.arange(n, dtype=np.intp)
         if self.use_colamd and A.nnz and resume_from is None:
-            pre = colamd_preprocess(A, kernel_tier=tier)
+            pre = colamd_preprocess(A)
             col_perm = col_perm[pre]
             A = permute_cols(A, pre)
         row_perm = np.arange(m, dtype=np.intp)
@@ -165,7 +165,7 @@ class ILUT_CRTP(LU_CRTP):
             if k_i <= 0:
                 break
             if self.colamd_every_iteration and i > 1 and active.nnz:
-                pre = colamd_preprocess(active, kernel_tier=tier)
+                pre = colamd_preprocess(active)
                 active = permute_cols(active, pre)
                 col_perm[z:] = col_perm[z:][pre]
             try:
@@ -300,8 +300,7 @@ class ILUT_CRTP(LU_CRTP):
                 factor_nnz=sum(b.nnz for b in Lblocks) +
                 sum(b.nnz for b in Ublocks),
                 dropped_nnz=dropped_nnz, dropped_norm_sq=dropped_sq,
-                extra={"trace": art.stats,
-                       "kernel_seconds": art.kernel_seconds}))
+                extra={"trace": art.stats}))
             if self.callback is not None:
                 self.callback(history[-1])
             if self._checkpointing() \

@@ -69,7 +69,6 @@ class IterationArtifacts:
     col_perm_local: np.ndarray
     r11_diag: np.ndarray
     tournament_stats: object
-    kernel_seconds: dict
     stats: dict
 
 
@@ -210,7 +209,7 @@ class LU_CRTP:
 
         col_perm = np.arange(n, dtype=np.intp)
         if self.use_colamd and A.nnz and resume_from is None:
-            pre = colamd_preprocess(A, kernel_tier=tier)
+            pre = colamd_preprocess(A)
             col_perm = col_perm[pre]
             A = permute_cols(A, pre)
         row_perm = np.arange(m, dtype=np.intp)
@@ -245,7 +244,7 @@ class LU_CRTP:
             if k_i <= 0:
                 break
             if self.colamd_every_iteration and i > 1 and active.nnz:
-                pre = colamd_preprocess(active, kernel_tier=tier)
+                pre = colamd_preprocess(active)
                 active = permute_cols(active, pre)
                 col_perm[z:] = col_perm[z:][pre]
             try:
@@ -281,8 +280,7 @@ class LU_CRTP:
                 schur_nnz=int(active.nnz), schur_shape=tuple(active.shape),
                 factor_nnz=sum(b.nnz for b in Lblocks) +
                 sum(b.nnz for b in Ublocks),
-                extra={"trace": art.stats,
-                       "kernel_seconds": art.kernel_seconds}))
+                extra={"trace": art.stats}))
             if self.callback is not None:
                 self.callback(history[-1])
             if self._checkpointing() \
@@ -383,17 +381,13 @@ class LU_CRTP:
         """
         from .. import kernels
         tier = getattr(self, "_kernel_tier_resolved", None) or "pure"
-        kernel_seconds: dict[str, float] = {}
 
         # line 5: column tournament (optionally on a reduced candidate set)
-        t = time.perf_counter()
         with perf.timer("col_qr_tp"):
             col_tp = self._column_tournament(active, k_i)
-        kernel_seconds["col_qr_tp"] = time.perf_counter() - t
 
         # line 6: sparse QR of the k selected columns (gathered directly —
         # the fully permuted matrix is never built)
-        t = time.perf_counter()
         with perf.timer("sparse_qr"):
             selected = extract_leading_columns(active, col_tp.perm[:k_i])
             if self.qr_engine == "householder":
@@ -404,28 +398,20 @@ class LU_CRTP:
                 Qk, _Rk, _ = cholqr2(selected,
                                      recovery_log=self._recovery_log(),
                                      tier=tier)
-        kernel_seconds["sparse_qr"] = time.perf_counter() - t
 
         # line 7: row tournament on Q_k^T
-        t = time.perf_counter()
         with perf.timer("row_qr_tp"):
             row_tp = qr_tp_rows(Qk, k_i, tree=self.tree, tier=tier)
-        kernel_seconds["row_qr_tp"] = time.perf_counter() - t
 
         # line 8: fused permutation + 2x2 split (the index-window pass)
-        t = time.perf_counter()
         with perf.timer("permute_split"):
             A11d, A12, A21, A22 = kernels.permuted_blocks(
                 active, col_tp.perm, row_tp.perm, k_i, tier=tier)
-        kernel_seconds["permute_rows"] = time.perf_counter() - t
 
         # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
-        t = time.perf_counter()
         with perf.timer("solve_F"):
             F = self._compute_F_fast(A11d, A21, Qk, row_tp.perm, k_i, i)
-        kernel_seconds["solve"] = time.perf_counter() - t
 
-        t = time.perf_counter()
         f_colnnz = np.bincount(F.indices, minlength=k_i)
         schur_flops = 2.0 * float(np.dot(f_colnnz, np.diff(A12.indptr)))
         with perf.timer("schur"):
@@ -435,7 +421,6 @@ class LU_CRTP:
             schur = kernels.schur_update_csc(
                 A22, F, A12, tol=self.zero_drop_tol, tier=tier)
             perf.add_flops("schur", schur_flops)
-        kernel_seconds["schur"] = time.perf_counter() - t
 
         Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
         Uk = sp.hstack([sp.csr_matrix(A11d), A12], format="csr")
@@ -458,7 +443,7 @@ class LU_CRTP:
             Lk=Lk, Uk=Uk, schur=schur,
             row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
             r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
-            kernel_seconds=kernel_seconds, stats=stats)
+            stats=stats)
 
     def _iteration_reference(self, active: sp.csc_matrix, k_i: int, i: int,
                              r11_first: float | None) -> IterationArtifacts:
@@ -467,16 +452,11 @@ class LU_CRTP:
         Retained as the parity oracle for the fast path and as the "before"
         side of ``benchmarks/bench_micro_kernels.py``.
         """
-        kernel_seconds: dict[str, float] = {}
-
         # line 5: column tournament (optionally on a reduced candidate set)
-        t = time.perf_counter()
         col_tp = self._column_tournament(active, k_i)
-        kernel_seconds["col_qr_tp"] = time.perf_counter() - t
         Apc = permute_cols(active, col_tp.perm)
 
         # line 6: sparse QR of the k selected columns
-        t = time.perf_counter()
         selected = Apc[:, :k_i]
         if self.qr_engine == "householder":
             from ..linalg.sparse_qr import sparse_householder_qr
@@ -484,32 +464,23 @@ class LU_CRTP:
             Qk = fqr.explicit_q()
         else:
             Qk, _Rk, _ = cholqr2(selected, recovery_log=self._recovery_log())
-        kernel_seconds["sparse_qr"] = time.perf_counter() - t
 
         # line 7: row tournament on Q_k^T
-        t = time.perf_counter()
         row_tp = qr_tp_rows(Qk, k_i, tree=self.tree)
-        kernel_seconds["row_qr_tp"] = time.perf_counter() - t
 
         # line 8: apply the row permutation
-        t = time.perf_counter()
         Abar = permute_rows(Apc, row_tp.perm)
-        kernel_seconds["permute_rows"] = time.perf_counter() - t
 
         A11, A12, A21, A22 = split_2x2(Abar, k_i)
         A11d = A11.toarray()
 
         # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
-        t = time.perf_counter()
         F = self._compute_F(A11d, A21, Qk, row_tp.perm, k_i, i)
-        kernel_seconds["solve"] = time.perf_counter() - t
 
-        t = time.perf_counter()
         # reference route stays plain scipy on purpose: it is the oracle
         # the optimized/native routes are pinned against
         schur = (A22 - F @ A12).tocsc()  # repro: noqa[SPMD004]
         drop_explicit_zeros(schur, tol=self.zero_drop_tol)
-        kernel_seconds["schur"] = time.perf_counter() - t
 
         Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
         Uk = sp.hstack([A11, A12], format="csr")
@@ -539,7 +510,7 @@ class LU_CRTP:
             Lk=Lk, Uk=Uk, schur=schur,
             row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
             r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
-            kernel_seconds=kernel_seconds, stats=stats)
+            stats=stats)
 
     # ------------------------------------------------------------------
     def _column_tournament(self, active: sp.csc_matrix, k_i: int):

@@ -1,6 +1,6 @@
 """Differential fuzz harness for the kernel tier registry.
 
-Every registered kernel has two implementations — ``pure`` (NumPy/SciPy)
+Every tiered kernel has two implementations — ``pure`` (NumPy/SciPy)
 and ``native`` (JIT C) — pinned to bitwise parity.  The unit pins in
 ``tests/test_kernel_tiers.py`` check hand-picked inputs; this harness
 drives *seeded randomized* inputs through both tiers via the public
@@ -15,9 +15,7 @@ results, with adversarial input families the hand-picked pins under-run:
 - explicit ``+0.0``/``-0.0`` stored entries (``negzero`` — sign bits
   must survive both tiers identically);
 - extreme magnitudes including subnormals and near-overflow values
-  (``extreme``);
-- int32 index dtype with row ids near the 2**31 boundary
-  (``boundary32``).
+  (``extreme``).
 
 Failures are **minimized** (greedy shrink over the generating
 parameters, re-checked after every step) and saved as ``.npz``
@@ -45,12 +43,11 @@ from . import tiers
 
 #: Adversarial input families, rotated per case index.
 PATTERNS = ("uniform", "empty_rows", "dense_row", "cancel", "negzero",
-            "extreme", "empty", "boundary32")
+            "extreme", "empty")
 
 #: Kernels the harness covers, in dispatch-surface order.
 KERNELS = ("spgemm_csr", "threshold_mask", "apply_threshold_mask",
-           "permuted_blocks", "pivot_argmin_consume", "csr_to_csc",
-           "csc_to_csr", "gather_columns", "gram_csc", "schur_update_csc")
+           "permuted_blocks", "gram_csc", "schur_update_csc")
 
 
 @dataclass(frozen=True)
@@ -139,25 +136,6 @@ def _sparse(spec: CaseSpec, rng: np.random.Generator, m: int, n: int,
     return _with_idx(A, _idx_dtype(spec))
 
 
-def _boundary_csc(spec: CaseSpec, rng: np.random.Generator):
-    """CSC with a handful of entries whose *row ids* sit at the int32
-    boundary (shape ``(2**31 - 8) x n``) — the gather kernel must copy
-    them through the int32 instantiation without truncation."""
-    m = 2**31 - 8
-    n = max(spec.n, 1)
-    nnz_per_col = 3
-    indptr = np.arange(n + 1, dtype=np.int64) * nnz_per_col
-    indices = np.empty(n * nnz_per_col, dtype=np.int64)
-    for j in range(n):
-        picks = np.sort(rng.choice(
-            np.array([0, 1, m // 2, m - 3, m - 2, m - 1], dtype=np.int64),
-            size=nnz_per_col, replace=False))
-        indices[j * nnz_per_col:(j + 1) * nnz_per_col] = picks
-    data = _values(rng, indices.size, "uniform")
-    A = sp.csc_matrix((data, indices, indptr), shape=(m, n))
-    return _with_idx(A, np.int32)
-
-
 def generate(spec: CaseSpec) -> dict:
     """Build the input dict for ``spec`` (deterministic in ``spec``)."""
     rng = spec.rng()
@@ -183,26 +161,6 @@ def generate(spec: CaseSpec) -> dict:
                 "col_perm": rng.permutation(n).astype(np.int64),
                 "row_perm": rng.permutation(m).astype(np.int64),
                 "k": int(rng.integers(1, min(m, n) + 1))}
-    if k == "pivot_argmin_consume":
-        size = spec.m * (211 if spec.pattern == "dense_row" else 1)
-        sentinel = np.iinfo(np.int64).max
-        key = rng.integers(-2**40, 2**40, size).astype(np.int64)
-        if size:
-            key[rng.random(size) < 0.3] = sentinel
-        return {"key": key, "sentinel": int(sentinel)}
-    if k == "csr_to_csc":
-        return {"A": _sparse(spec, rng, spec.m, spec.n, "csr")}
-    if k == "csc_to_csr":
-        return {"A": _sparse(spec, rng, spec.m, spec.n, "csc")}
-    if k == "gather_columns":
-        if spec.pattern == "boundary32":
-            A = _boundary_csc(spec, rng)
-        else:
-            A = _sparse(spec, rng, spec.m, spec.n, "csc")
-        ncols = int(rng.integers(0, A.shape[1] + 1))
-        cols = rng.choice(A.shape[1], size=ncols,
-                          replace=False).astype(np.int64)
-        return {"A": A, "cols": cols}
     if k == "gram_csc":
         B1 = _sparse(spec, rng, spec.m, spec.n, "csc")
         if spec.case % 3 == 0:
@@ -243,15 +201,6 @@ def run_kernel(inputs: dict, kernel: str, tier: str):
     if kernel == "permuted_blocks":
         return tiers.permuted_blocks(i["active"], i["col_perm"],
                                      i["row_perm"], i["k"], tier=tier)
-    if kernel == "pivot_argmin_consume":
-        v = tiers.pivot_argmin_consume(i["key"], i["sentinel"], tier=tier)
-        return (v, i["key"])  # winner slot is consumed in place
-    if kernel == "csr_to_csc":
-        return tiers.csr_to_csc(i["A"], tier=tier)
-    if kernel == "csc_to_csr":
-        return tiers.csc_to_csr(i["A"], tier=tier)
-    if kernel == "gather_columns":
-        return tiers.gather_columns(i["A"], i["cols"], tier=tier)
     if kernel == "gram_csc":
         return tiers.gram_csc(i["B1"], i["B2"], tier=tier)
     if kernel == "schur_update_csc":
@@ -340,7 +289,7 @@ def _shrink_candidates(spec: CaseSpec):
             yield replace(spec, **{dim: v // 2})
     if spec.density > 0.02:
         yield replace(spec, density=round(spec.density / 2, 4))
-    if spec.pattern not in ("uniform", "boundary32"):
+    if spec.pattern != "uniform":
         yield replace(spec, pattern="uniform")
 
 

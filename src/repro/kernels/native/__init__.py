@@ -17,10 +17,6 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`threshold_mask` / :func:`apply_threshold_mask`
                            ≡ ``repro.sparse.thresholding`` pair
 - :func:`permuted_blocks`  ≡ ``repro.sparse.window.permuted_blocks``
-- :func:`pivot_argmin_consume` ≡ ``int(np.argmin(key))`` + sentinel store
-- :func:`csr_to_csc` / :func:`csc_to_csr` ≡ scipy ``tocsc()``/``tocsr()``
-- :func:`gather_columns`   ≡ the general gather path of
-  ``repro.sparse.ops.extract_columns``
 - :func:`gram_csc`         ≡ ``repro.linalg.cholqr._cross_gram_kernel``
 - :func:`schur_diff_csc`   ≡ ``(A - C).tocsc()`` + ``drop_explicit_zeros``
 """
@@ -44,15 +40,6 @@ _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
 
-# raw (void*-typed) binding of the pivot scan plus a one-slot cache of the
-# last key array's data pointer: the colamd loop calls the scan thousands
-# of times on the *same* array, and ctypes ndpointer validation would cost
-# several times the scan itself.  The cached tuple holds a strong
-# reference to the array, so the identity test can never alias a
-# recycled object.
-_pivot_raw = None
-_pivot_cache: tuple | None = None
-
 
 def _ptr(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags=("C_CONTIGUOUS",))
@@ -74,7 +61,6 @@ def _ptr(dtype):
 #: as-is.
 _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "rk_thresh_mask": ("i64", ("f64*", "i64", "f64", "u8*", "f64*", "&f64")),
-    "rk_pivot_argmin_consume": ("i64", ("i64*", "i64", "i64")),
     "rk_spgemm": ("i64", ("i64", "i64",
                           "IDX*", "IDX*", "f64*",
                           "IDX*", "IDX*", "f64*",
@@ -94,8 +80,6 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "rk_csr_tocsc": (None, ("i64", "i64",
                             "IDX*", "IDX*", "f64*",
                             "IDX*", "IDX*", "f64*")),
-    "rk_gather_cols": ("i64", ("i64", "IDX*", "IDX*", "f64*", "i64*",
-                               "i64*", "IDX*", "f64*")),
     "rk_gram": (None, ("i64", "i64", "i64",
                        "IDX*", "IDX*", "f64*",
                        "IDX*", "IDX*", "f64*",
@@ -142,10 +126,6 @@ def _bind(lib: ctypes.CDLL) -> None:
             fn = getattr(lib, name + suffix)
             fn.restype = restype
             fn.argtypes = [_ctype(tok, idt) for tok in args]
-    global _pivot_raw
-    i64 = ctypes.c_int64
-    proto = ctypes.CFUNCTYPE(i64, ctypes.c_void_p, i64, i64)
-    _pivot_raw = proto(("rk_pivot_argmin_consume", lib))
 
 
 def _sanitize_load_error(path, profiles: tuple[str, ...]) -> str | None:
@@ -199,7 +179,8 @@ def available() -> bool:
 
 
 # env-keyed memo of the warm-cache stat probe: the probe re-hashes every C
-# source, and the ``auto`` tier consults it on every dispatched conversion.
+# source, and the ``auto`` tier consults it on every dispatch made without
+# a resolved tier.
 # Invalidation: reset() (tests) and a successful in-process build (load()).
 # A build finished by *another* process goes unseen until then — same
 # "resolved once" behaviour solver configs already have.
@@ -218,8 +199,7 @@ def cached_build_exists() -> bool:
     hit = _cache_probe.get(key)
     if hit is None:
         try:
-            hit = any(p.exists() for p in build.cached_library_paths(
-                compiler=build.find_compiler()))
+            hit = any(p.exists() for p in build.cached_library_paths())
         except OSError:
             hit = False
         _cache_probe[key] = hit
@@ -228,12 +208,10 @@ def cached_build_exists() -> bool:
 
 def reset() -> None:
     """Forget the memoized load (tests re-probe after monkeypatching)."""
-    global _lib, _load_attempted, _pivot_raw, _pivot_cache
+    global _lib, _load_attempted
     with _lock:
         _lib = None
         _load_attempted = False
-        _pivot_raw = None
-        _pivot_cache = None
         _cache_probe.clear()
 
 
@@ -404,93 +382,6 @@ def permuted_blocks(active, col_perm, row_perm, k: int, rowcount=None):
 
 
 # ---------------------------------------------------------------------------
-# CSR <-> CSC conversion (scipy tocsc/tocsr contract)
-# ---------------------------------------------------------------------------
-
-def _convert_arrays(lib, A, n_major, n_minor):
-    """Run the counting-sort conversion over ``A``'s raw arrays with
-    ``n_major`` outer slots (rows for CSR input, columns for CSC input).
-    Returns ``(Bp, Bi, Bx)`` or ``None`` when the input falls outside the
-    kernel contract (the caller then runs scipy's conversion)."""
-    if lib is None or A.data.dtype != np.float64:
-        return None
-    idx = A.indices.dtype
-    if A.indptr.dtype != idx or \
-            np.dtype(idx) not in (np.dtype(np.int32), np.dtype(np.int64)):
-        return None
-    nnz = int(A.indptr[-1])
-    # scipy's matrix-API conversions normalize the output index dtype
-    # through the validating constructor's contents check: int32 whenever
-    # both dimensions and the nnz fit, int64 otherwise — independent of
-    # the INPUT index dtype (a small-content int64 matrix comes back
-    # int32).  Pick the same dtype up front and cast the inputs to it
-    # (lossless by the very rule that chose it).
-    out_idx = np.int32 if max(n_major, n_minor, nnz) <= _INT32_MAX \
-        else np.int64
-    Ap = A.indptr.astype(out_idx, copy=False)
-    Aj = A.indices.astype(out_idx, copy=False)
-    Bp = np.empty(n_minor + 1, dtype=out_idx)
-    Bi = np.empty(nnz, dtype=out_idx)
-    Bx = np.empty(nnz, dtype=np.float64)
-    fn = getattr(lib, "rk_csr_tocsc" + _idx_suffix(out_idx))
-    fn(n_major, n_minor, Ap, Aj, A.data, Bp, Bi, Bx)
-    return Bp, Bi, Bx
-
-
-def csr_to_csc(A):
-    """CSR -> canonical CSC; scipy ``tocsc()`` contract (same counting
-    sort, same entry order, same index dtypes)."""
-    m, n = A.shape
-    arrays = _convert_arrays(load(), A, m, n)
-    if arrays is None:
-        return A.tocsc()
-    Bp, Bi, Bx = arrays
-    return raw_csc(Bx, Bi, Bp, (m, n), sorted_indices=True)
-
-
-def csc_to_csr(A):
-    """CSC -> canonical CSR; scipy ``tocsr()`` contract.  Same kernel as
-    :func:`csr_to_csc` with the roles of rows and columns transposed —
-    exactly how scipy's ``csc_tocsr`` delegates to ``csr_tocsc``."""
-    m, n = A.shape
-    arrays = _convert_arrays(load(), A, n, m)
-    if arrays is None:
-        return A.tocsr()
-    Bp, Bj, Bx = arrays
-    return raw_csr(Bx, Bj, Bp, (m, n), sorted_indices=True)
-
-
-# ---------------------------------------------------------------------------
-# column gather (CSC sub-panel extraction)
-# ---------------------------------------------------------------------------
-
-def gather_columns(A, cols):
-    """``A[:, cols]`` for canonical CSC ``A`` (pure contract: the general
-    gather path of ``repro.sparse.ops.extract_columns``) — one memcpy
-    pair per requested column instead of a materialized entry-position
-    array, same entries in the same stored order."""
-    lib = load()
-    m = A.shape[0]
-    if lib is None or A.data.dtype != np.float64 \
-            or A.indices.dtype != A.indptr.dtype \
-            or np.dtype(A.indices.dtype) not in (np.dtype(np.int32),
-                                                 np.dtype(np.int64)):
-        from ..pure import gather_columns as _pure_gather
-        return _pure_gather(A, cols)
-    cols64 = np.ascontiguousarray(cols, dtype=np.int64)
-    counts = A.indptr[cols64 + 1] - A.indptr[cols64]
-    nnz = int(counts.sum())
-    Bp = np.empty(cols64.size + 1, dtype=np.int64)
-    Bi = np.empty(nnz, dtype=A.indices.dtype)
-    Bx = np.empty(nnz, dtype=np.float64)
-    fn = getattr(lib, "rk_gather_cols" + _idx_suffix(A.indices.dtype))
-    fn(cols64.size, A.indptr, A.indices, A.data, cols64, Bp, Bi, Bx)
-    idx_dtype = np.int32 if m < _INT32_MAX + 1 else np.int64
-    return raw_csc(Bx, Bi.astype(idx_dtype, copy=False),
-                   Bp.astype(idx_dtype), (m, cols64.size))
-
-
-# ---------------------------------------------------------------------------
 # dense cross-Gram of CSC panels
 # ---------------------------------------------------------------------------
 
@@ -585,24 +476,3 @@ def schur_diff_csc(A, C, tol: float, workspace=None):
     conv = getattr(lib, "rk_csr_tocsc" + _idx_suffix(out_idx))
     conv(m, n, Dp, Dj, Dx, Sp, Si, Sx)
     return raw_csc(Sx, Si, Sp, (m, n), sorted_indices=True)
-
-
-#: above this many keys numpy's SIMD argmin beats the C scan — both routes
-#: return the identical pivot, so crossing over is a pure perf guard
-_PIVOT_SCAN_CAP = 1024
-
-
-def pivot_argmin_consume(key: np.ndarray, sentinel: int) -> int:
-    """First-minimum argmin over an int64 key array; the winner's slot is
-    overwritten with ``sentinel`` (the colamd scan-route step)."""
-    global _pivot_cache
-    lib = load()
-    if lib is None or key.dtype != np.int64 or key.size == 0 \
-            or key.size > _PIVOT_SCAN_CAP or not key.flags.c_contiguous:
-        v = int(np.argmin(key))
-        key[v] = sentinel
-        return v
-    cache = _pivot_cache
-    if cache is None or cache[0] is not key:
-        _pivot_cache = cache = (key, key.ctypes.data)
-    return int(_pivot_raw(cache[1], key.size, int(sentinel)))

@@ -269,9 +269,13 @@ def cached_library_path(sources: list[Path] | None = None,
                         cache_dir: Path | None = None,
                         compiler: str | None = None,
                         cflags: tuple[str, ...] = CFLAGS) -> Path:
-    """Where the build for the current sources lives (existing or not)."""
+    """Where the build for the current sources lives (existing or not).
+    ``compiler=None`` means :func:`find_compiler`, as in
+    :func:`build_library`, so a default probe names the directory a
+    default build writes."""
     root = Path(cache_dir) if cache_dir is not None else cache_root()
-    return root / source_hash(sources, compiler, cflags)[:16] / LIB_NAME
+    cc = compiler or find_compiler()
+    return root / source_hash(sources, cc, cflags)[:16] / LIB_NAME
 
 
 def cached_library_paths(sources: list[Path] | None = None,
@@ -280,8 +284,8 @@ def cached_library_paths(sources: list[Path] | None = None,
     """The cache locations a warm-cache probe stats — the one build of
     the current sources under :func:`flag_set`, so an active sanitizer
     profile shifts it to its instrumented hash."""
-    return [cached_library_path(sources, cache_dir, compiler,
-                                flag_set(compiler))]
+    cc = compiler or find_compiler()
+    return [cached_library_path(sources, cache_dir, cc, flag_set(cc))]
 
 
 def build_library(sources: list[Path] | None = None,

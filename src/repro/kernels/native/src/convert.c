@@ -1,4 +1,4 @@
-/* CSR <-> CSC conversion (counting sort) — native tier entry points.
+/* CSR -> CSC conversion (counting sort) — native tier entry points.
  *
  * See convert_impl.inc for the algorithm; this translation unit only
  * instantiates it for scipy's two index dtypes.

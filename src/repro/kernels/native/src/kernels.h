@@ -41,10 +41,6 @@ RK_EXPORT int64_t rk_thresh_mask(
     const double *data, int64_t nnz, double mu,
     unsigned char *mask, double *dropped, double *dmax);
 
-/* Tournament/colamd pivot argmin scan (pivot.c). */
-RK_EXPORT int64_t rk_pivot_argmin_consume(
-    int64_t *key, int64_t n, int64_t sentinel);
-
 /* Row-merge SpGEMM, C = A @ B on canonical CSR (spgemm_impl.inc). */
 RK_EXPORT int64_t rk_spgemm_i32(
     int64_t n_row, int64_t n_col,
@@ -103,7 +99,8 @@ RK_EXPORT void rk_window_fill_topdense_i64(
     const int64_t *cols, const int64_t *ipos, int64_t *rowcount,
     double *D, int64_t *Cp, int64_t *Cj, double *Cx);
 
-/* CSR -> CSC counting-sort conversion, scipy-bitwise (convert_impl.inc). */
+/* CSR -> CSC counting-sort conversion, scipy-bitwise (convert_impl.inc);
+ * the final pass of the fused Schur difference. */
 RK_EXPORT void rk_csr_tocsc_i32(
     int64_t n_row, int64_t n_col,
     const int32_t *Ap, const int32_t *Aj, const double *Ax,
@@ -112,16 +109,6 @@ RK_EXPORT void rk_csr_tocsc_i64(
     int64_t n_row, int64_t n_col,
     const int64_t *Ap, const int64_t *Aj, const double *Ax,
     int64_t *Bp, int64_t *Bi, double *Bx);
-
-/* memcpy column gather from CSC (gather_impl.inc). */
-RK_EXPORT int64_t rk_gather_cols_i32(
-    int64_t ncols,
-    const int32_t *Ap, const int32_t *Ai, const double *Ax,
-    const int64_t *cols, int64_t *Bp, int32_t *Bi, double *Bx);
-RK_EXPORT int64_t rk_gather_cols_i64(
-    int64_t ncols,
-    const int64_t *Ap, const int64_t *Ai, const double *Ax,
-    const int64_t *cols, int64_t *Bp, int64_t *Bi, double *Bx);
 
 /* Half-work mirrored self-Gram / cross-Gram on CSC blocks
  * (gram_impl.inc). */

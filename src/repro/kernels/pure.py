@@ -7,8 +7,6 @@ fallback tier and the bitwise oracle the native tier is pinned against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sparse import thresholding as _thresholding
 from ..sparse import window as _window
 from ..sparse.ops import csr_matmul_nosym
@@ -20,37 +18,9 @@ def spgemm_csr(A, B):
     return csr_matmul_nosym(A, B)
 
 
-def csr_to_csc(A):
-    """CSR -> canonical CSC (scipy's counting sort)."""
-    return A.tocsc()
-
-
-def csc_to_csr(A):
-    """CSC -> canonical CSR (scipy's counting sort)."""
-    return A.tocsr()
-
-
-def gather_columns(A, cols):
-    """``A[:, cols]`` of a canonical CSC matrix — the vectorized
-    position-gather route (``gather_positions`` + validation-free
-    assembly) the optimized solvers ran before this entry point
-    existed."""
-    from ..sparse.utils import raw_csc
-    cols = np.asarray(cols)
-    pos, counts = _window.gather_positions(A.indptr, cols.astype(np.int64))
-    idx_dtype = np.int32 if A.shape[0] < 2**31 else np.int64
-    indptr = np.zeros(cols.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return raw_csc(A.data[pos],
-                   A.indices[pos].astype(idx_dtype, copy=False),
-                   indptr.astype(idx_dtype),
-                   (A.shape[0], cols.size))
-
-
-def gram_csc(B1, B2, workspace=None):
+def gram_csc(B1, B2):
     """Dense ``B1.T @ B2`` of canonical float64 CSC panels (the PR-2
     ``_cross_gram_kernel`` route)."""
-    del workspace
     from ..linalg.cholqr import _cross_gram_kernel
     return _cross_gram_kernel(B1, B2)
 
@@ -74,12 +44,5 @@ def apply_threshold_mask(A, mask):
     return _thresholding.apply_threshold_mask(A, mask)
 
 
-def permuted_blocks(active, col_perm, row_perm, k: int, rowcount=None):
-    del rowcount
+def permuted_blocks(active, col_perm, row_perm, k: int):
     return _window.permuted_blocks(active, col_perm, row_perm, k)
-
-
-def pivot_argmin_consume(key: np.ndarray, sentinel: int) -> int:
-    v = int(np.argmin(key))
-    key[v] = sentinel
-    return v

@@ -1,10 +1,8 @@
 """Kernel tier registry and dispatch.
 
-Two tiers serve the sparse hot-path kernels (row-merge SpGEMM, fused
-ILUT thresholding, the Schur index-window
-scatter/gather, CSR<->CSC conversion, the tournament column gather, the
-dense panel cross-Gram, the fused Schur difference, and the pivot argmin
-scan):
+Two tiers serve the tiered sparse hot-path kernels (row-merge SpGEMM,
+fused ILUT thresholding, the Schur index-window scatter/gather, the
+dense panel cross-Gram and the fused Schur update):
 
 - ``pure``   — the existing NumPy/SciPy routes; always available and the
   default, so ``PYTHONPATH=src pytest`` never gains a build step.
@@ -19,12 +17,21 @@ only when a cached build for the current sources already exists on disk
 request compiles on first use and falls back to ``pure`` (with a
 one-time warning) when that is impossible, so solves always succeed.
 
-Dispatch functions accept ``tier=`` as a resolved tier name or a request
-(``None`` means ``auto``).  Callers in solver loops resolve once per
-solve via :func:`resolve_tier` and pass the result down.  Per-call
-scratch (the window row-count buffer, the fallback SpGEMM workspace)
-is thread-local, so concurrent solves — and the per-rank calls of the
-threads SPMD backend — never share mutable kernel state.
+Tiered dispatch functions accept ``tier=`` as a resolved tier name or a
+request (``None`` means ``auto``).  Callers in solver loops resolve once
+per solve via :func:`resolve_tier` and pass the result down.
+
+Per-call scratch (the window row-count buffer, the fallback SpGEMM
+workspace) is thread-local, so concurrent solves — and the per-rank
+calls of the threads SPMD backend — never share mutable kernel state.
+
+Four kernels have a single NumPy/SciPy route and take no ``tier=``: the
+CSR<->CSC conversions (``csr_to_csc``/``csc_to_csr``), the tournament
+column gather (``gather_columns``) and the colamd pivot argmin scan
+(``pivot_argmin_consume``).  Their native twins lost or tied at their
+call sites and were deleted.  The names stay in the registry so every
+call site still goes through one place, which is also where per-kernel
+timing attaches.
 """
 
 from __future__ import annotations
@@ -34,7 +41,11 @@ import threading
 import time
 import warnings
 
+import numpy as np
+
 from .. import perf
+from ..sparse import window
+from ..sparse.utils import raw_csc
 from . import native
 from . import pure
 from .workspace import SpGEMMWorkspace
@@ -188,7 +199,6 @@ def permuted_blocks(active, col_perm, row_perm, k: int, *,
     """Fused permute + 2x2 split of the active matrix."""
     mod, t = _impl(tier)
     if t == "native":
-        import numpy as np
         state = _thread_state()
         rowcount = state.get("rowcount")
         m = active.shape[0]
@@ -198,48 +208,6 @@ def permuted_blocks(active, col_perm, row_perm, k: int, *,
         return mod.permuted_blocks(active, col_perm, row_perm, k,
                                    rowcount=rowcount)
     return mod.permuted_blocks(active, col_perm, row_perm, k)
-
-
-def pivot_argmin_consume(key, sentinel: int, *,
-                         tier: str | None = None) -> int:
-    """First-minimum argmin over an int64 key; winner slot <- sentinel."""
-    mod, _ = _impl(tier)
-    return mod.pivot_argmin_consume(key, sentinel)
-
-
-def _timed_convert(fn, A):
-    """Run one conversion, feeding the ``kernel_tier.convert_*`` counter
-    pair when perf recording is on (the timing ``perf_counter`` calls are
-    only paid while enabled, like every other instrumented site)."""
-    if not perf.is_enabled():
-        return fn(A)
-    t0 = time.perf_counter()
-    out = fn(A)
-    rec = perf.get_recorder()
-    rec.incr("kernel_tier.convert_calls")
-    rec.incr("kernel_tier.convert_seconds", time.perf_counter() - t0)
-    return out
-
-
-def csr_to_csc(A, *, tier: str | None = None):
-    """CSR -> canonical CSC; scipy ``tocsc()`` contract on both tiers
-    (same counting sort, same entry order, same index dtypes)."""
-    mod, _ = _impl(tier)
-    return _timed_convert(mod.csr_to_csc, A)
-
-
-def csc_to_csr(A, *, tier: str | None = None):
-    """CSC -> canonical CSR; scipy ``tocsr()`` contract on both tiers."""
-    mod, _ = _impl(tier)
-    return _timed_convert(mod.csc_to_csr, A)
-
-
-def gather_columns(A, cols, *, tier: str | None = None):
-    """Column gather ``A[:, cols]`` of a canonical CSC matrix (the
-    tournament candidate exchange) — identical entries in identical
-    stored order across tiers."""
-    mod, _ = _impl(tier)
-    return mod.gather_columns(A, cols)
 
 
 def gram_csc(B1, B2, *, tier: str | None = None, workspace=None):
@@ -275,3 +243,57 @@ def schur_update_csc(A22, F, A12, *, tol: float | None = None,
             drop_explicit_zeros(S, tol=tol)
         return S
     return mod.schur_update_csc(A22, F, A12, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# single-route kernels (no tier=)
+# ---------------------------------------------------------------------------
+
+def pivot_argmin_consume(key, sentinel: int) -> int:
+    """First-minimum argmin over an int64 key; winner slot <- sentinel
+    (one step of the colamd scan route)."""
+    v = int(np.argmin(key))
+    key[v] = sentinel
+    return v
+
+
+def _timed_convert(convert):
+    """Run one conversion (a bound ``tocsc``/``tocsr``), feeding the
+    ``kernel_tier.convert_*`` counter pair when perf recording is on (the
+    timing ``perf_counter`` calls are only paid while enabled, like every
+    other instrumented site)."""
+    if not perf.is_enabled():
+        return convert()
+    t0 = time.perf_counter()
+    out = convert()
+    rec = perf.get_recorder()
+    rec.incr("kernel_tier.convert_calls")
+    rec.incr("kernel_tier.convert_seconds", time.perf_counter() - t0)
+    return out
+
+
+def csr_to_csc(A):
+    """CSR -> canonical CSC: scipy's ``tocsc()`` (counting sort)."""
+    return _timed_convert(A.tocsc)
+
+
+def csc_to_csr(A):
+    """CSC -> canonical CSR: scipy's ``tocsr()`` (counting sort)."""
+    return _timed_convert(A.tocsr)
+
+
+def gather_columns(A, cols):
+    """Column gather ``A[:, cols]`` of a canonical CSC matrix (the
+    tournament candidate exchange): one vectorized position pass
+    (``gather_positions``) plus validation-free assembly — the entries
+    of scipy's fancy indexing in the same stored order, with its index
+    dtype rule (int32 whenever the row count fits)."""
+    cols = np.asarray(cols)
+    pos, counts = window.gather_positions(A.indptr, cols.astype(np.int64))
+    idx_dtype = np.int32 if A.shape[0] < 2**31 else np.int64
+    indptr = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return raw_csc(A.data[pos],
+                   A.indices[pos].astype(idx_dtype, copy=False),
+                   indptr.astype(idx_dtype),
+                   (A.shape[0], cols.size))

@@ -19,11 +19,12 @@ Flagged in every module outside ``repro/kernels/`` itself:
 Additionally, inside ``repro/core/`` the rule flags direct format
 conversions — ``.tocsc()`` / ``.tocsr()`` method calls.  The solver hot
 paths must route conversions through ``ensure_csc`` / ``ensure_csr`` (or
-``repro.kernels.csr_to_csc`` / ``csc_to_csr``) so the native conversion
-kernel and the ``kernel_tier.convert_*`` perf counters see them; a bare
-``.tocsc()`` silently pays the scipy conversion tax the native tier was
-built to remove.  Audited sites where plain scipy is intentional (the
-reference oracle route, dtype-preserving engines) carry
+``repro.kernels.csr_to_csc`` / ``csc_to_csr``) so they stay visible to
+the kernel registry: its ``kernel_tier.convert_*`` perf counters and the
+per-kernel spans of the benchmark's traced run count every conversion
+made there, while a bare ``.tocsc()`` pays the same scipy counting sort
+unseen.  Audited sites where plain scipy is intentional (the reference
+oracle route, dtype-preserving engines) carry
 ``# repro: noqa[SPMD004]``.
 
 Tests are exempt by construction (the lint pass runs over ``src``), and
@@ -44,17 +45,17 @@ from .framework import LintRule, register
 REGISTRY_PARTS = ("repro", "kernels")
 
 #: Directory whose modules form the solver hot paths: direct format
-#: conversions there bypass the conversion kernel and its perf counters.
+#: conversions there bypass the registry conversion and its perf counters.
 CORE_PARTS = ("repro", "core")
 
 _MESSAGE = ("direct import of repro.kernels.native bypasses the tier "
             "registry (no pure fallback, no thread-local scratch); "
             "dispatch through repro.kernels instead")
 
-_CONVERT_MESSAGE = ("direct .{attr}() in repro/core/ bypasses the kernel-"
-                    "tier conversion (and its convert_* perf counters); "
-                    "use ensure_{fmt} / repro.kernels instead, or mark an "
-                    "audited scipy-on-purpose site with "
+_CONVERT_MESSAGE = ("direct .{attr}() in repro/core/ hides the conversion "
+                    "from the kernel registry (its convert_* perf "
+                    "counters); use ensure_{fmt} / repro.kernels instead, "
+                    "or mark an audited scipy-on-purpose site with "
                     "# repro: noqa[SPMD004]")
 
 

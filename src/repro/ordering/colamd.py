@@ -34,8 +34,7 @@ _SCAN_CUTOFF = 32768
 _ADJ_DENSE_CELLS = 2**25
 
 
-def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
-           kernel_tier: str | None = None) -> np.ndarray:
+def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5) -> np.ndarray:
     """Compute a COLAMD-style column permutation of ``A``.
 
     Parameters
@@ -46,9 +45,6 @@ def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
         Rows with more than ``dense_row_frac * n`` entries are ignored when
         building the quotient graph (they would couple almost all columns and
         only add noise to the degrees); they are standard to drop in COLAMD.
-    kernel_tier:
-        Kernel tier request for the pivot argmin scan (``None`` = auto);
-        both tiers select identical pivots.
 
     Returns
     -------
@@ -160,12 +156,11 @@ def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
     perm: list[int] = []
     heappop = heapq.heappop
     heappush = heapq.heappush
-    from ..kernels import pivot_argmin_consume, resolve_tier
-    tier = resolve_tier(kernel_tier) if use_scan else "pure"
+    from ..kernels import pivot_argmin_consume
 
     while len(perm) < n:
         if use_scan:
-            v = pivot_argmin_consume(key, _SENT, tier=tier)
+            v = pivot_argmin_consume(key, _SENT)
         else:
             d, v = heappop(heap)
             if eliminated[v] or d != degree[v]:

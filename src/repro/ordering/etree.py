@@ -81,16 +81,13 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return order
 
 
-def colamd_preprocess(A: sp.spmatrix, *,
-                      kernel_tier: str | None = None) -> np.ndarray:
+def colamd_preprocess(A: sp.spmatrix) -> np.ndarray:
     """The paper's full preprocessing permutation: COLAMD, then postorder of
     the column elimination tree of the COLAMD-permuted matrix.
 
     Returns a single column permutation vector combining both steps.
-    ``kernel_tier`` selects the pivot-scan kernel tier (both tiers emit the
-    identical permutation).
     """
-    p1 = colamd(A, kernel_tier=kernel_tier)
+    p1 = colamd(A)
     Ap = ensure_csc(A)[:, p1]
     parent = col_etree(Ap)
     p2 = postorder(parent)

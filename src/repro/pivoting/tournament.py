@@ -106,7 +106,7 @@ def _match(A, cand: np.ndarray, k: int, stage: str, stats: TournamentStats,
     it can build them cheaper than from scratch.
     """
     if block is None:
-        block = extract_columns(A, cand, tier=tier) if sp.issparse(A) \
+        block = extract_columns(A, cand) if sp.issparse(A) \
             else np.asarray(A)[:, cand]
     sel = select_columns(block, k, method=method, strong=strong,
                          gram=gram, keep_gram=keep_gram, tier=tier)
@@ -151,8 +151,8 @@ def _paired_match(A, w1, G1, w2, G2, k, stage, stats, *, method, strong,
         return _match(A, cand, k, stage, stats, method=method, strong=strong,
                       keep_gram=sp.issparse(A) and method == "gram",
                       tier=tier)
-    B1 = extract_columns(A, w1, tier=tier)
-    B2 = extract_columns(A, w2, tier=tier)
+    B1 = extract_columns(A, w1)
+    B2 = extract_columns(A, w2)
     C = cross_gram(B1, B2, tier=tier)
     G = np.block([[G1, C], [C.T, G2]])
     return _match(A, cand, k, stage, stats, method=method, strong=strong,

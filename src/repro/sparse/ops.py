@@ -59,20 +59,18 @@ def split_2x2(A: sp.spmatrix, k: int) -> tuple[sp.spmatrix, sp.spmatrix,
             left[k:].tocsc(), right[k:].tocsc())
 
 
-def extract_columns(A: sp.spmatrix, cols: np.ndarray, *,
-                    tier: str | None = None) -> sp.csc_matrix:
+def extract_columns(A: sp.spmatrix, cols: np.ndarray) -> sp.csc_matrix:
     """Column gather ``A[:, cols]`` as CSC (tournament candidate exchange).
 
     Contiguous ascending ranges — every tournament *leaf* block — take the
     CSC slice fast path (one indptr offset + one data copy).  The general
-    gather dispatches through the kernel tier registry
-    (:func:`repro.kernels.gather_columns`): the pure route is the same
-    vectorized position pass as the window kernels plus raw
-    (validation-free) assembly, the native route one memcpy pair per
-    column — identical entries in identical stored order to scipy's fancy
-    indexing either way, without its per-call index validation and
-    constructor re-checks (which dominated tournament exchange time at
-    ~500 calls per solve).
+    gather goes through the kernel registry
+    (:func:`repro.kernels.gather_columns`): the same vectorized position
+    pass as the window kernels plus raw (validation-free) assembly —
+    identical entries in identical stored order to scipy's fancy
+    indexing, without its per-call index validation and constructor
+    re-checks (which dominated tournament exchange time at ~500 calls per
+    solve).
     """
     A = ensure_csc(A)
     cols = np.asarray(cols, dtype=np.intp)
@@ -80,7 +78,7 @@ def extract_columns(A: sp.spmatrix, cols: np.ndarray, *,
             and np.all(np.diff(cols) == 1):
         return A[:, cols[0]:cols[-1] + 1]
     from ..kernels import gather_columns  # lazy: kernels.pure imports ops
-    return gather_columns(A, cols, tier=tier)
+    return gather_columns(A, cols)
 
 
 #: do not preallocate more than this many candidate output entries; beyond

@@ -19,9 +19,8 @@ def ensure_csc(A, *, dtype=np.float64) -> sp.csc_matrix:
             return A
         M = A
     elif isinstance(A, sp.csr_matrix):
-        # the hot cross-format case: route through the kernel tier
-        # registry (native counting sort when available, scipy otherwise
-        # — bitwise-identical either way)
+        # the hot cross-format case: route through the kernel registry,
+        # whose ``kernel_tier.convert_*`` counters see every conversion
         from .. import kernels
         M = kernels.csr_to_csc(A)
     elif sp.issparse(A):
@@ -49,7 +48,7 @@ def ensure_csr(A, *, dtype=np.float64) -> sp.csr_matrix:
             return A
         M = A
     elif isinstance(A, sp.csc_matrix):
-        # kernel-tier conversion; see :func:`ensure_csc`
+        # registry conversion; see :func:`ensure_csc`
         from .. import kernels
         M = kernels.csc_to_csr(A)
     elif sp.issparse(A):

@@ -66,26 +66,13 @@ def test_adversarial_patterns_appear_in_the_schedule():
 
 def test_negzero_pattern_produces_signed_zeros():
     for case in range(64):
-        spec = fuzz.make_spec("csr_to_csc", seed=0, case=case)
+        spec = fuzz.make_spec("threshold_mask", seed=0, case=case)
         if spec.pattern != "negzero":
             continue
         A = fuzz.generate(spec)["A"]
         if A.nnz and np.any((A.data == 0.0) & np.signbit(A.data)):
             return
     pytest.fail("no explicit -0.0 entries generated by the negzero family")
-
-
-def test_boundary32_gather_has_int32_indices_at_the_boundary():
-    for case in range(64):
-        spec = fuzz.make_spec("gather_columns", seed=0, case=case)
-        if spec.pattern != "boundary32":
-            continue
-        A = fuzz.generate(spec)["A"]
-        assert A.indices.dtype == np.int32
-        assert A.shape[0] == 2**31 - 8
-        assert int(A.indices.max()) >= 2**31 - 16
-        return
-    pytest.fail("boundary32 never scheduled")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +159,7 @@ def test_differential_smoke(kernel):
 
 @needs_native
 def test_minimize_returns_spec_when_parity_holds():
-    spec = fuzz.make_spec("csr_to_csc", seed=0, case=1)
+    spec = fuzz.make_spec("spgemm_csr", seed=0, case=1)
     assert fuzz.run_case(spec) is None
     assert fuzz.minimize(spec) == spec
 

@@ -14,6 +14,9 @@ Three layers of coverage for :mod:`repro.kernels`:
   (skipped when the host cannot build): same values, same index arrays,
   same dtypes, same signed zeros — plus end-to-end solver, SPMD and
   thread-safety checks.
+
+The single-route kernels (CSR<->CSC conversion, column gather, pivot
+scan) are checked against scipy / numpy directly on every host.
 """
 
 from __future__ import annotations
@@ -209,6 +212,16 @@ def test_build_cache_reuse_and_stale_rebuild(tmp_path, monkeypatch):
     assert len(lib_dirs()) == 2
 
 
+@pytest.mark.skipif(build.find_compiler() is None, reason="no C compiler")
+def test_default_probe_names_the_default_build(tmp_path, monkeypatch):
+    # with every argument defaulted, the warm-cache probe and the build
+    # must resolve the same compiler and so name the same directory
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    path = build.build_library()
+    assert path is not None
+    assert path in build.cached_library_paths()
+
+
 @needs_native
 def test_auto_resolves_native_on_warm_cache(monkeypatch):
     monkeypatch.delenv(kernels.TIER_ENV, raising=False)
@@ -287,42 +300,15 @@ def test_window_parity():
         _assert_bitwise_csr(sp.csr_matrix(P), sp.csr_matrix(N))
 
 
-@needs_native
 def test_pivot_parity_with_ties():
     rng = np.random.default_rng(11)
-    for n in (1, 7, 64, 513):
-        master = rng.integers(0, 5, size=n, dtype=np.int64)  # many ties
-        kp, kn = master.copy(), master.copy()
+    for n in (1, 7, 64, 513, 2049):
+        key = rng.integers(0, 5, size=n, dtype=np.int64)  # many ties
         for _ in range(n):
-            p = kernels.pivot_argmin_consume(kp, SENT, tier="pure")
-            q = kernels.pivot_argmin_consume(kn, SENT, tier="native")
-            assert p == q                    # first-minimum tie semantics
-        assert np.array_equal(kp, kn)
-        assert (kp == SENT).all()            # every winner retired
-
-
-@needs_native
-def test_pivot_cap_delegates_to_numpy():
-    n = native._PIVOT_SCAN_CAP + 1
-    rng = np.random.default_rng(12)
-    master = rng.integers(0, n, size=n, dtype=np.int64)
-    kp, kn = master.copy(), master.copy()
-    assert (kernels.pivot_argmin_consume(kp, SENT, tier="pure")
-            == kernels.pivot_argmin_consume(kn, SENT, tier="native"))
-    assert np.array_equal(kp, kn)
-
-
-@needs_native
-def test_pivot_identity_cache_survives_key_replacement():
-    # the native wrapper caches (array, data pointer); a *different* array
-    # of the same size must not be scanned through the stale pointer
-    rng = np.random.default_rng(13)
-    k1 = rng.integers(0, 1000, size=200, dtype=np.int64)
-    kernels.pivot_argmin_consume(k1, SENT, tier="native")
-    k2 = rng.integers(0, 1000, size=200, dtype=np.int64)
-    expect = int(np.argmin(k2))
-    assert kernels.pivot_argmin_consume(k2, SENT, tier="native") == expect
-    assert k2[expect] == SENT
+            expect = int(np.argmin(key))     # first-minimum tie semantics
+            assert kernels.pivot_argmin_consume(key, SENT) == expect
+            assert key[expect] == SENT
+        assert (key == SENT).all()           # every winner retired
 
 
 # -- workspace ---------------------------------------------------------------
@@ -409,29 +395,25 @@ def _convert_cases():
     ]
 
 
-@needs_native
 @pytest.mark.parametrize("case", range(4))
 def test_csr_csc_convert_parity(case):
     A = _convert_cases()[case]
-    _assert_bitwise_csc(A.tocsc(), kernels.csr_to_csc(A, tier="native"))
+    _assert_bitwise_csc(A.tocsc(), kernels.csr_to_csc(A))
     Ac = A.tocsc()
-    _assert_bitwise_csr(Ac.tocsr(), kernels.csc_to_csr(Ac, tier="native"))
+    _assert_bitwise_csr(Ac.tocsr(), kernels.csc_to_csr(Ac))
 
 
-@needs_native
 def test_convert_parity_int64_indices():
-    # scipy's matrix API downcasts the output index dtype to int32
-    # whenever shape and nnz fit, even for int64-indexed input; the
-    # native kernel must reproduce that
+    # the registry conversion keeps scipy's index dtype rule: int32
+    # output whenever shape and nnz fit, even for int64-indexed input
     rng = np.random.default_rng(11)
     A = sp.random(30, 50, density=0.2, random_state=rng, format="csr")
     A.sort_indices()
     A.indptr = A.indptr.astype(np.int64)
     A.indices = A.indices.astype(np.int64)
-    got = kernels.csr_to_csc(A, tier="native")
-    ref = A.tocsc()
-    assert ref.indices.dtype == np.int32  # the downcast is real
-    _assert_bitwise_csc(ref, got)
+    got = kernels.csr_to_csc(A)
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    _assert_bitwise_csc(A.tocsc(), got)
 
 
 def _assert_bitwise_csc(C1, C2):
@@ -444,13 +426,12 @@ def _assert_bitwise_csc(C1, C2):
     assert np.array_equal(C1.data.view(np.uint64), C2.data.view(np.uint64))
 
 
-@needs_native
 def test_convert_perf_counters():
     from repro import perf
     A, _ = _pair(40, 30, seed=3)
     perf.enable()
     try:
-        kernels.csr_to_csc(A, tier="native")
+        kernels.csr_to_csc(A)
         counters = perf.get_recorder().counters
         assert counters.get("kernel_tier.convert_calls", 0) >= 1
         assert counters.get("kernel_tier.convert_seconds", 0) > 0
@@ -498,7 +479,18 @@ def test_gram_symmetric_dense_panel_parity():
 
 # -- column gather -----------------------------------------------------------
 
-@needs_native
+def _assert_same_gather(got, ref):
+    # scipy fancy indexing is the contract: same dtypes, same entries in
+    # the same stored order, signed zeros included
+    assert isinstance(got, sp.csc_matrix)
+    assert got.shape == ref.shape
+    assert got.indices.dtype == ref.indices.dtype
+    assert got.indptr.dtype == ref.indptr.dtype
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_gather_columns_parity(seed):
     rng = np.random.default_rng(70 + seed)
@@ -509,22 +501,12 @@ def test_gather_columns_parity(seed):
                  np.array([5, 5, 0, 39]),          # duplicates
                  np.arange(40)[::-1],              # reversed
                  np.array([], dtype=np.intp)):     # empty
-        ref = kernels.gather_columns(A, cols, tier="pure")
-        got = kernels.gather_columns(A, cols, tier="native")
-        scipy_ref = A[:, np.asarray(cols, dtype=np.intp)]
-        assert got.shape == ref.shape == scipy_ref.shape
-        assert got.indices.dtype == ref.indices.dtype
-        assert got.indptr.dtype == ref.indptr.dtype
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data.view(np.uint64),
-                              ref.data.view(np.uint64))
-        assert np.array_equal(got.toarray(), scipy_ref.toarray())
+        _assert_same_gather(kernels.gather_columns(A, cols),
+                            A[:, np.asarray(cols, dtype=np.intp)])
 
 
-@needs_native
 def test_gather_columns_int64_indices_downcast():
-    # int64 input on a small matrix: both tiers emit the scipy dtype rule
+    # int64 input on a small matrix: the gather emits scipy's dtype rule
     # (int32 index arrays whenever the row count fits)
     rng = np.random.default_rng(73)
     A = sp.random(60, 20, density=0.3, random_state=rng,
@@ -533,35 +515,42 @@ def test_gather_columns_int64_indices_downcast():
     A.indices = A.indices.astype(np.int64)
     A.indptr = A.indptr.astype(np.int64)
     cols = rng.permutation(20)[:7]
-    ref = kernels.gather_columns(A, cols, tier="pure")
-    got = kernels.gather_columns(A, cols, tier="native")
-    assert ref.indices.dtype == got.indices.dtype == np.int32
-    assert np.array_equal(ref.indices, got.indices)
-    assert np.array_equal(ref.data, got.data)
+    got = kernels.gather_columns(A, cols)
+    assert got.indices.dtype == np.int32
+    _assert_same_gather(got, A[:, cols])
 
 
-@needs_native
-def test_extract_columns_routes_through_tier():
-    # the non-contiguous path of extract_columns dispatches the registry;
-    # both tiers must agree with each other and with fancy indexing
+def test_extract_columns_routes_through_tier(monkeypatch):
+    # the non-contiguous path of extract_columns dispatches the registry
+    # name (where per-kernel timing attaches) and matches fancy indexing
     from repro.sparse.ops import extract_columns
     rng = np.random.default_rng(74)
     A = sp.random(80, 30, density=0.2, random_state=rng,
                   data_rvs=rng.standard_normal, format="csc")
     A.sort_indices()
     cols = np.array([20, 3, 17, 3, 29])
-    ref = extract_columns(A, cols, tier="pure")
-    got = extract_columns(A, cols, tier="native")
-    assert np.array_equal(ref.indptr, got.indptr)
-    assert np.array_equal(ref.indices, got.indices)
-    assert np.array_equal(ref.data.view(np.uint64),
-                          got.data.view(np.uint64))
-    assert np.array_equal(got.toarray(), A[:, cols].toarray())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tiers.gather_columns(*args)
+
+    monkeypatch.setattr(kernels, "gather_columns", counted)
+    got = extract_columns(A, cols)
+    assert len(calls) == 1
+    _assert_same_gather(got, A[:, cols])
 
 
 @needs_native
-@pytest.mark.parametrize("tol", [None, 0.0, 1e-2])
-def test_schur_update_parity(tol):
+@pytest.mark.parametrize("tol,idx", [
+    pytest.param(None, np.int32, id="None"),
+    pytest.param(0.0, np.int32, id="0.0"),
+    pytest.param(1e-2, np.int32, id="0.01"),
+    # int64 inputs: the fused difference runs on int64 indices and
+    # downcasts before the CSR->CSC counting sort (rk_csr_tocsc)
+    pytest.param(0.0, np.int64, id="0.0-int64"),
+])
+def test_schur_update_parity(tol, idx):
     rng = np.random.default_rng(50)
     m, n, r = 50, 45, 6
     A22 = sp.random(m, n, density=0.12, random_state=rng,
@@ -572,6 +561,8 @@ def test_schur_update_parity(tol):
                     data_rvs=rng.standard_normal, format="csr")
     for M in (A22, F, A12):
         M.sort_indices()
+        M.indptr = M.indptr.astype(idx)
+        M.indices = M.indices.astype(idx)
     ref = kernels.schur_update_csc(A22, F, A12, tol=tol, tier="pure")
     got = kernels.schur_update_csc(A22, F, A12, tol=tol, tier="native")
     _assert_bitwise_csc(ref, got)
