@@ -18,24 +18,26 @@ root (the committed copy documents the speedups on the reference machine):
 - ``tsqr``              — communication-avoiding tall-skinny QR (tracked
                           for drift; not changed by the optimization);
 - ``lu_crtp_e2e`` / ``ilut_crtp_e2e`` — full solves on the fill-in-heavy
-                          M2 analogue, ``optimized=False`` vs ``True``,
-                          both pinned to ``kernel_tier="pure"`` so the
-                          ``tiers.native`` column is a real pure-vs-native
-                          comparison (``auto`` would silently resolve to
-                          native on a warm-cache host and measure native
-                          against itself).
+                          M2 analogue: the solver pinned to
+                          ``kernel_tier="pure"`` on both columns, native
+                          = the same solve with ``kernel_tier="native"``
+                          (``auto`` would silently resolve to native on a
+                          warm-cache host and measure native against
+                          itself).
 
-Schema v2: on hosts with a working C compiler each bench that has a
-native-tier kernel additionally records a ``tiers.native`` sub-entry —
-``after_s`` (native seconds), ``speedup`` (vs the bench's ``before_s``
-reference) and ``vs_pure`` (vs the pure optimized route).  ``before_s`` /
-``after_s`` / ``speedup`` keep their v1 meaning (pure-tier reference vs
-pure-tier optimized), so old tooling keeps working; hosts without a
-compiler simply omit the ``tiers`` columns.
+Schema v2: ``before_s`` / ``after_s`` / ``speedup`` compare a bench's
+reference route with the route the library runs (the same pure-tier
+number twice where the library has a single pure route).  On hosts with a
+working C compiler each bench that has a native-tier kernel additionally
+records a ``tiers.native`` sub-entry — ``after_s`` (native seconds),
+``speedup`` (vs the bench's ``before_s``) and ``vs_pure`` (vs the pure
+tier's ``after_s``); hosts without a compiler simply omit the ``tiers``
+columns.
 
-Every optimized route is bitwise-parity-checked against its reference in
-``tests/test_opt_parity.py`` (and the native tier against the pure tier
-in ``tests/test_kernel_tiers.py``); this script only tracks *time*.
+The solver iteration is bitwise-parity-checked against the test-only
+reference LU iteration in ``tests/test_opt_parity.py``, and the native
+tier against the pure tier in ``tests/test_kernel_tiers.py``; this
+script only tracks *time*.
 
 Usage::
 
@@ -43,22 +45,19 @@ Usage::
     python benchmarks/bench_micro_kernels.py --quick        # CI smoke mode
     python benchmarks/bench_micro_kernels.py --quick --check-regression
 
-``--check-regression`` exits nonzero when any optimized route measures
+``--check-regression`` exits nonzero when any bench's route measures
 more than 25% slower than its own reference route in the same run — a
 machine-independent gate that catches optimizations rotting into
 pessimizations.  The same gate applies per tier: a native kernel more
 than 25% slower than its pure counterpart fails the run.  When a
 previous ``BENCH_kernels.json`` exists it is also compared for drift
-(warnings only, never a failure — absolute times are machine-bound); a
-pre-tier v1 file is migrated in memory with a one-line note.
+(warnings only, never a failure — absolute times are machine-bound).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -78,7 +77,7 @@ from repro.sparse.thresholding import (apply_threshold_mask,  # noqa: E402
                                        drop_small, threshold_mask)
 from repro.sparse.window import permuted_blocks  # noqa: E402
 
-#: regression gate: optimized route may be at most this much slower than
+#: regression gate: a bench's route may be at most this much slower than
 #: its reference route before the run fails
 REGRESSION_FACTOR = 1.25
 
@@ -89,7 +88,7 @@ SCHEMA_VERSION = 2
 def _add_native_tier(entry: dict, native_s: float) -> dict:
     """Attach the native-tier columns to a bench entry (schema v2):
     seconds, speedup vs the bench's reference route, and the ratio vs the
-    pure optimized route (what the per-tier regression gate checks)."""
+    pure tier's ``after_s`` (what the per-tier regression gate checks)."""
     entry.setdefault("tiers", {})["native"] = {
         "after_s": native_s,
         "speedup": (entry["before_s"] / native_s
@@ -272,81 +271,32 @@ def bench_tsqr(quick: bool, repeats: int) -> dict:
 
 def bench_e2e(cls, quick: bool, repeats: int, native: bool = False,
               **kw) -> dict:
+    """A full solve on the pure tier on both columns (the library has one
+    solver route), the same solve on the native tier in ``tiers.native``
+    (bitwise identical pivots and indicator trajectory)."""
     n = 400 if quick else 900
     A = _m2_analogue(n)
     max_rank = 128 if quick else 320
     common = dict(k=32, tol=1e-6, max_rank=max_rank,
                   raise_on_failure=False, **kw)
-    # pin the reference/optimized columns to the pure tier: with the
-    # default ``auto`` request a warm-cache host resolves to native and
-    # the ``tiers.native`` column would measure native against itself
-    pure = dict(common, kernel_tier="pure")
-    r_ref = cls(optimized=False, **pure).solve(A)
-    r_opt = cls(optimized=True, **pure).solve(A)
-    assert np.array_equal(r_ref.row_perm, r_opt.row_perm)
-    assert all(a.indicator == b.indicator
-               for a, b in zip(r_ref.history, r_opt.history))
-    before = _mintime(lambda: cls(optimized=False, **pure).solve(A),
+    r_pure = cls(kernel_tier="pure", **common).solve(A)
+    t_pure = _mintime(lambda: cls(kernel_tier="pure", **common).solve(A),
                       repeats)
-    after = _mintime(lambda: cls(optimized=True, **pure).solve(A),
-                     repeats)
-    entry = {"before_s": before, "after_s": after,
+    entry = {"before_s": t_pure, "after_s": t_pure,
              "detail": f"M2-analogue n={n}, k=32, max_rank={max_rank}; "
-                       "optimized=False vs True, both kernel_tier='pure' "
-                       "(pivots and indicator trajectories bitwise "
-                       "identical); native = optimized=True with "
-                       "kernel_tier='native'"}
+                       "kernel_tier='pure' on both columns, native = "
+                       "kernel_tier='native' (pivots and indicator "
+                       "trajectories bitwise identical)"}
     if native:
         # warm-up solve: excludes any one-time JIT build/load from timing
         # and checks tier parity on this exact problem
-        r_nat = cls(optimized=True, kernel_tier="native",
-                    **common).solve(A)
-        assert np.array_equal(r_opt.row_perm, r_nat.row_perm)
+        r_nat = cls(kernel_tier="native", **common).solve(A)
+        assert np.array_equal(r_pure.row_perm, r_nat.row_perm)
         assert all(a.indicator == b.indicator
-                   for a, b in zip(r_opt.history, r_nat.history))
+                   for a, b in zip(r_pure.history, r_nat.history))
         _add_native_tier(entry, _mintime(
-            lambda: cls(optimized=True, kernel_tier="native",
-                        **common).solve(A), repeats))
+            lambda: cls(kernel_tier="native", **common).solve(A), repeats))
     return entry
-
-
-_BASELINE_CODE = """
-import json, time
-import numpy as np, scipy.sparse as sp
-from repro.core.lu_crtp import LU_CRTP
-from repro.core.ilut_crtp import ILUT_CRTP
-n, max_rank, repeats = {n}, {max_rank}, {repeats}
-rng = np.random.default_rng(1)
-A = sp.random(n, n, density=0.02, random_state=rng, format="csc")
-A = (A + sp.diags(np.linspace(1, 0.01, n), format="csc")).tocsc()
-out = {{}}
-for name, s in (("lu_crtp_e2e", LU_CRTP(k=32, tol=1e-6, max_rank=max_rank,
-                                        raise_on_failure=False)),
-                ("ilut_crtp_e2e", ILUT_CRTP(k=32, tol=1e-6,
-                                            max_rank=max_rank,
-                                            raise_on_failure=False,
-                                            estimated_iterations=10))):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        s.solve(A)
-        best = min(best, time.perf_counter() - t0)
-    out[name] = best
-print(json.dumps(out))
-"""
-
-
-def measure_pre_pr_e2e(baseline_repo: str, quick: bool,
-                       repeats: int) -> dict:
-    """Run the e2e benches inside a pre-PR checkout (its own ``src`` on
-    ``PYTHONPATH``) and return ``{bench_name: min_seconds}``."""
-    n = 400 if quick else 900
-    max_rank = 128 if quick else 320
-    code = _BASELINE_CODE.format(n=n, max_rank=max_rank, repeats=repeats)
-    env = dict(os.environ, PYTHONPATH=str(Path(baseline_repo) / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run(quick: bool) -> dict:
@@ -377,24 +327,6 @@ def run(quick: bool) -> dict:
             "benches": benches}
 
 
-def migrate_results(results: dict) -> dict:
-    """Normalize a loaded results file to schema v2 in memory.
-
-    v1 files (pre-kernel-tier) have no ``schema_version`` and no ``tiers``
-    sub-entries; they migrate losslessly — every recorded number was a
-    pure-tier measurement, so only the empty per-tier containers are added.
-    """
-    if results.get("schema_version", 1) >= SCHEMA_VERSION:
-        return results
-    print("note: migrating v1 (single-tier) results to schema "
-          f"v{SCHEMA_VERSION}; recorded columns become pure-tier entries")
-    results = dict(results, schema_version=SCHEMA_VERSION)
-    results["config"] = dict(results.get("config", {}), native_tier=False)
-    results["benches"] = {name: dict(entry, tiers=entry.get("tiers", {}))
-                          for name, entry in results["benches"].items()}
-    return results
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -402,36 +334,24 @@ def main(argv=None) -> int:
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
                     help="JSON output path")
     ap.add_argument("--check-regression", action="store_true",
-                    help="exit nonzero if any optimized route is >25%% "
+                    help="exit nonzero if any bench's route is >25%% "
                          "slower than its reference route")
     ap.add_argument("--min-native-e2e", type=float, default=None,
                     metavar="RATIO",
                     help="fail unless at least one *_e2e bench records "
                          "tiers.native.vs_pure >= RATIO (skipped with a "
                          "note when no native tier is available)")
-    ap.add_argument("--baseline-repo", default=None,
-                    help="path to a pre-PR checkout; also measures the "
-                         "e2e benches there and records pre_pr_before_s "
-                         "(the optimized=False route of the current tree "
-                         "still contains the shared-path optimizations)")
     args = ap.parse_args(argv)
 
     out = Path(args.output)
     prior = None
     if args.check_regression and out.exists():
         try:
-            prior = migrate_results(json.loads(out.read_text()))
+            prior = json.loads(out.read_text())
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             print(f"note: ignoring unreadable prior {out}: {exc}")
 
     results = run(args.quick)
-    if args.baseline_repo:
-        pre = measure_pre_pr_e2e(args.baseline_repo, args.quick,
-                                 results["config"]["repeats"])
-        for name, seconds in pre.items():
-            entry = results["benches"][name]
-            entry["pre_pr_before_s"] = seconds
-            entry["speedup_vs_pre_pr"] = seconds / entry["after_s"]
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
     width = max(len(k) for k in results["benches"])
@@ -444,9 +364,6 @@ def main(argv=None) -> int:
             line += (f"  native={nat['after_s'] * 1e3:9.2f}ms "
                      f"({nat['speedup']:.2f}x, {nat['vs_pure']:.2f}x "
                      "vs pure)")
-        if "speedup_vs_pre_pr" in entry:
-            line += (f"  pre-PR={entry['pre_pr_before_s'] * 1e3:9.2f}ms "
-                     f"({entry['speedup_vs_pre_pr']:.2f}x)")
         print(line)
     print(f"wrote {out}")
 
@@ -462,7 +379,7 @@ def main(argv=None) -> int:
                 and e.get("tiers", {}).get("native", {}).get("after_s", 0.0)
                 > REGRESSION_FACTOR * e["after_s"]]
         if bad:
-            print(f"REGRESSION: optimized route >{REGRESSION_FACTOR}x "
+            print(f"REGRESSION: route >{REGRESSION_FACTOR}x "
                   f"slower than reference in: {', '.join(bad)}",
                   file=sys.stderr)
             return 1

@@ -37,14 +37,8 @@ from ..linalg.norms import fro_norm
 from ..ordering.etree import colamd_preprocess
 from ..pivoting.tournament import qr_tp, qr_tp_rows
 from ..results import LUApproximation
-from ..sparse.ops import (
-    assemble_L_global,
-    assemble_U_global,
-    permute_cols,
-    permute_rows,
-    split_2x2,
-)
-from ..sparse.utils import drop_explicit_zeros, ensure_csc, ensure_csr
+from ..sparse.ops import assemble_L_global, assemble_U_global, permute_cols
+from ..sparse.utils import ensure_csc, ensure_csr
 from ..sparse.window import (
     csr_rows_to_dense,
     dense_rows_to_csr,
@@ -124,10 +118,8 @@ class LU_CRTP:
         shrinks.  ``0`` disables.
     kernel_tier:
         Kernel tier request (``"auto"``/``"pure"``/``"native"``) for the
-        hot-path kernels of the optimized route; see :mod:`repro.kernels`.
-        Both tiers produce bitwise-identical factorizations.  The
-        reference route (``optimized=False``) always runs pure — it *is*
-        the oracle the native tier is pinned against.
+        hot-path kernels; see :mod:`repro.kernels`.  Both tiers produce
+        bitwise-identical factorizations.
     """
 
     k: int = 32
@@ -145,9 +137,6 @@ class LU_CRTP:
     discard_small_columns: float = 0.0
     qr_engine: str = "cholqr2"
     kernel_tier: str = "auto"
-    optimized: bool = True  # fused permute/split + direct-CSR F assembly;
-    # False selects the reference per-iteration path (kept for parity tests
-    # and as the "before" side of the tracked micro-benchmarks)
     target_rank: int | None = None  # fixed-RANK mode (Grigori et al.'s
     # original problem): run to this rank, ignoring the tolerance test
     callback: object = None  # optional per-iteration hook: f(IterationRecord)
@@ -165,11 +154,9 @@ class LU_CRTP:
         self.kernel_tier = validate_request(self.kernel_tier)
 
     def _resolve_kernel_tier(self) -> str:
-        """Resolve the tier once per solve; the reference route is pinned
-        to pure (it is the parity oracle)."""
+        """Resolve the tier once per solve."""
         from ..kernels import record_tier, resolve_tier
-        tier = "pure" if not self.optimized \
-            else resolve_tier(self.kernel_tier)
+        tier = resolve_tier(self.kernel_tier)
         self._kernel_tier_resolved = tier
         return record_tier(tier)
 
@@ -358,22 +345,13 @@ class LU_CRTP:
     # ------------------------------------------------------------------
     def _iteration(self, active: sp.csc_matrix, k_i: int, i: int,
                    r11_first: float | None) -> IterationArtifacts:
-        """Lines 4-12 of Algorithm 2 on the active matrix."""
-        if self.optimized:
-            return self._iteration_fast(active, k_i, i, r11_first)
-        return self._iteration_reference(active, k_i, i, r11_first)
+        """Lines 4-12 of Algorithm 2 on the active matrix.
 
-    def _iteration_fast(self, active: sp.csc_matrix, k_i: int, i: int,
-                        r11_first: float | None) -> IterationArtifacts:
-        """Index-window formulation of the block iteration.
-
-        Identical arithmetic to :meth:`_iteration_reference` — same pivots
-        (bitwise), same Schur complement values in the same canonical order
-        — but the active matrix is never materialized in permuted form:
-        the permutations stay index maps and every entry is routed straight
+        The active matrix is never materialized in permuted form: the
+        permutations stay index maps and every entry is routed straight
         to its destination block (:func:`repro.sparse.window.permuted_blocks`).
         ``F`` is assembled directly in CSR from the dense triangular-solve
-        result instead of through a ``lil_matrix``.
+        result.
 
         The window split and the ``F @ A12`` Schur product dispatch
         through :mod:`repro.kernels` on the tier resolved in
@@ -410,7 +388,7 @@ class LU_CRTP:
 
         # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
         with perf.timer("solve_F"):
-            F = self._compute_F_fast(A11d, A21, Qk, row_tp.perm, k_i, i)
+            F = self._compute_F(A11d, A21, Qk, row_tp.perm, k_i, i)
 
         f_colnnz = np.bincount(F.indices, minlength=k_i)
         schur_flops = 2.0 * float(np.dot(f_colnnz, np.diff(A12.indptr)))
@@ -425,73 +403,6 @@ class LU_CRTP:
         Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
         Uk = sp.hstack([sp.csr_matrix(A11d), A12], format="csr")
 
-        stats = {
-            "m_i": int(active.shape[0]),
-            "n_i": int(active.shape[1]),
-            "k_i": int(k_i),
-            "active_nnz": int(active.nnz),
-            "col_nnz": np.diff(active.indptr).astype(np.int64),
-            "sel_nnz": int(selected.nnz),
-            "f_rows": int(np.count_nonzero(np.diff(F.indptr))),
-            "f_nnz": int(F.nnz),
-            "a12_nnz": int(A12.nnz),
-            "schur_nnz": int(schur.nnz),
-            "schur_flops": schur_flops,
-            "tournament_flops": float(col_tp.stats.total_flops),
-        }
-        return IterationArtifacts(
-            Lk=Lk, Uk=Uk, schur=schur,
-            row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
-            r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
-            stats=stats)
-
-    def _iteration_reference(self, active: sp.csc_matrix, k_i: int, i: int,
-                             r11_first: float | None) -> IterationArtifacts:
-        """Pre-optimization per-iteration path (materialized permutations).
-
-        Retained as the parity oracle for the fast path and as the "before"
-        side of ``benchmarks/bench_micro_kernels.py``.
-        """
-        # line 5: column tournament (optionally on a reduced candidate set)
-        col_tp = self._column_tournament(active, k_i)
-        Apc = permute_cols(active, col_tp.perm)
-
-        # line 6: sparse QR of the k selected columns
-        selected = Apc[:, :k_i]
-        if self.qr_engine == "householder":
-            from ..linalg.sparse_qr import sparse_householder_qr
-            fqr = sparse_householder_qr(selected)
-            Qk = fqr.explicit_q()
-        else:
-            Qk, _Rk, _ = cholqr2(selected, recovery_log=self._recovery_log())
-
-        # line 7: row tournament on Q_k^T
-        row_tp = qr_tp_rows(Qk, k_i, tree=self.tree)
-
-        # line 8: apply the row permutation
-        Abar = permute_rows(Apc, row_tp.perm)
-
-        A11, A12, A21, A22 = split_2x2(Abar, k_i)
-        A11d = A11.toarray()
-
-        # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
-        F = self._compute_F(A11d, A21, Qk, row_tp.perm, k_i, i)
-
-        # reference route stays plain scipy on purpose: it is the oracle
-        # the optimized/native routes are pinned against
-        schur = (A22 - F @ A12).tocsc()  # repro: noqa[SPMD004]
-        drop_explicit_zeros(schur, tol=self.zero_drop_tol)
-
-        Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
-        Uk = sp.hstack([A11, A12], format="csr")
-
-        # Trace statistics consumed by the parallel performance model
-        # (repro.parallel.perfmodel): enough to reconstruct per-rank flop and
-        # byte counts for any process count without re-running.
-        Fc = F.tocsc()  # repro: noqa[SPMD004]
-        A12r = A12.tocsr()  # repro: noqa[SPMD004]
-        schur_flops = 2.0 * float(
-            np.dot(np.diff(Fc.indptr), np.diff(A12r.indptr)))
         stats = {
             "m_i": int(active.shape[0]),
             "n_i": int(active.shape[1]),
@@ -540,62 +451,15 @@ class LU_CRTP:
         return res
 
     # ------------------------------------------------------------------
-    def _compute_F(self, A11d: np.ndarray, A21: sp.csc_matrix,
+    def _compute_F(self, A11d: np.ndarray, A21: sp.csr_matrix,
                    Qk: np.ndarray, row_perm: np.ndarray, k_i: int,
                    i: int) -> sp.csr_matrix:
-        """``F = A21 A11^{-1}`` restricted to the nonzero rows of ``A21``.
+        """``F = A21 A11^{-1}`` restricted to the nonzero rows of the CSR
+        block ``A21``, assembled directly in CSR.
 
         Raises :class:`RankDeficiencyBreakdown` when the pivot block is
         numerically singular (the §III-A failure mode).
         """
-        formula = self.l_formula
-        cond = None
-        if formula == "auto":
-            cond = np.linalg.cond(A11d)
-            formula = "orthogonal" if cond > 1e10 else "schur"
-
-        if formula == "orthogonal":
-            # Qbar = P_r Q_k; F = Qbar21 Qbar11^{-1}. Equal to A21 A11^{-1} in
-            # exact arithmetic but bounded entries; dense (extra fill-in).
-            Qbar = Qk[row_perm]
-            Q11, Q21 = Qbar[:k_i], Qbar[k_i:]
-            try:
-                Fd = np.linalg.solve(Q11.T, Q21.T).T
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyBreakdown(
-                    "orthogonal pivot block singular", iteration=i) from exc
-            Fs = sp.csr_matrix(Fd)
-            Fs.data[np.abs(Fs.data) < 1e-300] = 0.0
-            Fs.eliminate_zeros()
-            return Fs
-
-        A21r = A21.tocsr()  # repro: noqa[SPMD004]
-        rows = np.flatnonzero(np.diff(A21r.indptr))
-        mrest = A21.shape[0]
-        if rows.size == 0:
-            return sp.csr_matrix((mrest, k_i))
-        try:
-            # solve X A11 = A21[rows]  <=>  A11^T X^T = A21[rows]^T
-            Fsub = np.linalg.solve(A11d.T, A21r[rows].toarray().T).T
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 numerically singular", iteration=i) from exc
-        if not np.all(np.isfinite(Fsub)):
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 produced non-finite multipliers", iteration=i)
-        F = sp.lil_matrix((mrest, k_i))
-        F[rows] = Fsub
-        F = F.tocsr()  # repro: noqa[SPMD004]
-        F.data[np.abs(F.data) < 1e-300] = 0.0
-        F.eliminate_zeros()
-        return F
-
-    def _compute_F_fast(self, A11d: np.ndarray, A21: sp.csr_matrix,
-                        Qk: np.ndarray, row_perm: np.ndarray, k_i: int,
-                        i: int) -> sp.csr_matrix:
-        """:meth:`_compute_F` with ``A21`` already CSR and the sparse
-        result assembled directly (no ``lil_matrix``).  Same values, same
-        canonical ordering, same breakdown conditions."""
         formula = self.l_formula
         if formula == "auto":
             cond = np.linalg.cond(A11d)

@@ -140,7 +140,7 @@ def _sanitize_load_error(path, profiles: tuple[str, ...]) -> str | None:
         preload = os.environ.get("LD_PRELOAD", "")
         if "asan" not in preload:
             return (f"asan build {path} needs the ASan runtime loaded "
-                    "first: eval \"$(python -m repro.kernels.native.build "
+                    "first: eval \"$(python -m repro.kernels.native "
                     "--sanitize-env)\" before starting python")
     return None
 

@@ -1,9 +1,7 @@
 """``python -m repro.kernels.native`` — build/inspect helper CLI.
 
-Thin delegation to :func:`repro.kernels.native.build._main` (the
-``python -m repro.kernels.native.build`` form works too, but running a
-submodule of an already-imported package makes runpy warn; this entry
-point is quiet).
+The one entry point of :func:`repro.kernels.native.build._main`
+(``--sanitize-env``, ``--build``, ``--cache-key``).
 """
 
 from .build import _main

@@ -22,7 +22,7 @@ sanitizer flags are part of the compile command and therefore of the
 SHA-256 cache key, so instrumented and plain builds never collide.
 Loading an instrumented library into an *uninstrumented* CPython needs
 loader support — see :func:`sanitizer_env` and ``python -m
-repro.kernels.native.build --sanitize-env``.
+repro.kernels.native --sanitize-env``.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def _compile(cc: str, cflags: tuple[str, ...], c_files: list[Path],
 
 
 def _main(argv: list[str] | None = None) -> int:
-    """``python -m repro.kernels.native.build`` — build/inspect helper.
+    """``python -m repro.kernels.native`` — build/inspect helper.
 
     ``--sanitize-env`` prints ``export K=V`` lines for the active
     ``$REPRO_KERNEL_SANITIZE`` profile (eval them before starting the
@@ -373,7 +373,7 @@ def _main(argv: list[str] | None = None) -> int:
     import shlex
 
     ap = argparse.ArgumentParser(
-        prog="python -m repro.kernels.native.build",
+        prog="python -m repro.kernels.native",
         description="native kernel build helper")
     ap.add_argument("--sanitize-env", action="store_true",
                     help="print `export K=V` loader lines for the active "
@@ -397,7 +397,3 @@ def _main(argv: list[str] | None = None) -> int:
             return 1
         print(path)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(_main())

@@ -1,8 +1,10 @@
 """Pure tier: the existing NumPy/SciPy kernel routes, unchanged.
 
-These are thin bindings of the PR-2 optimized implementations onto the
-dispatch signatures of :mod:`repro.kernels` — the always-available
+These are thin bindings of the solvers' NumPy/SciPy implementations onto
+the dispatch signatures of :mod:`repro.kernels` — the always-available
 fallback tier and the bitwise oracle the native tier is pinned against.
+(The solver iteration itself is pinned against a materialized-permutation
+reference kept in ``tests/lu_reference.py``.)
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ def gram_csc(B1, B2):
 def schur_update_csc(A22, F, A12, tol: float | None = None):
     """The Schur-complement update ``(A22 - F @ A12).tocsc()`` with the
     explicit-zero drop applied when ``tol`` is not ``None`` — exactly the
-    optimized-route composition the solvers ran before this entry point
-    existed."""
+    composition the solvers ran before this entry point existed."""
     schur = (A22 - csr_matmul_nosym(F, A12)).tocsc()
     if tol is not None:
         drop_explicit_zeros(schur, tol=tol)

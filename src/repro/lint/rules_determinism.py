@@ -1,9 +1,10 @@
 """SPMD003 — determinism / bitwise-parity discipline.
 
-The optimized solver paths are pinned by a *bitwise* parity contract
-(``tests/test_opt_parity.py``): identical pivots, factors and indicator
-trajectories between reference and optimized routes, and between the
-thread and process SPMD backends.  Any nondeterminism source inside those
+The solver paths are pinned by a *bitwise* parity contract: identical
+pivots, factors and indicator trajectories between the pure and native
+kernel tiers (``tests/test_kernel_tiers.py``), between the solver and the
+test-only reference LU iteration (``tests/test_opt_parity.py``), and
+between the thread and process SPMD backends.  Any nondeterminism source inside those
 hot paths silently voids the contract — across ranks it additionally
 desynchronizes SPMD lockstep (e.g. a data-dependent branch on a wall
 clock).

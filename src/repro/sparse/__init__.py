@@ -8,7 +8,7 @@
   column counts).
 - :mod:`repro.sparse.fillin` — fill-in tracking across Schur complements.
 - :mod:`repro.sparse.window` — fused index-window permute/split over the
-  running Schur complement (the optimized solver hot path).
+  running Schur complement (the LU/ILUT solver hot path).
 """
 
 from .utils import (ensure_csc, ensure_csr, drop_explicit_zeros, density,

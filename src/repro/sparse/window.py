@@ -1,6 +1,6 @@
 """Index-window views over the running Schur complement.
 
-Every LU_CRTP/ILUT_CRTP iteration the reference path materializes the fully
+In textbook form, every LU_CRTP/ILUT_CRTP iteration materializes the fully
 permuted active matrix twice (``permute_cols`` then ``permute_rows``) and
 then converts formats four more times inside ``split_2x2`` — roughly eight
 ``O(nnz)`` passes to produce four blocks whose combined size *is* ``nnz``.
@@ -17,8 +17,9 @@ routes it directly to its destination block and emits
 
 in two gather passes plus one stable radix sort per window.  The
 blocks are *bitwise identical* in values and canonical ordering to the ones
-the reference path produces, which keeps pivot selection and the error
-indicator trajectory exactly reproducible — verified by the
+the textbook form produces, which keeps pivot selection and the error
+indicator trajectory exactly reproducible — verified against the
+test-only reference iteration (``tests/lu_reference.py``) by the
 ``tests/test_opt_parity.py`` suite.
 """
 
@@ -151,8 +152,8 @@ def dense_rows_to_csr(Fsub: np.ndarray, rows: np.ndarray, m: int,
 
     ``Fsub[i]`` becomes row ``rows[i]``; entries with magnitude below
     ``drop_below`` are pruned (round-off debris from the triangular solve,
-    matching the reference path's post-filter).  Replaces the
-    ``lil_matrix`` assembly that dominated ``_compute_F``.
+    matching the reference iteration's post-filter).  Replaces the
+    ``lil_matrix`` assembly that dominated the textbook ``F`` solve.
     """
     k = Fsub.shape[1]
     keep = np.abs(Fsub) >= drop_below

@@ -101,7 +101,7 @@ def test_spec_metadata():
 
 def test_config_roundtrip():
     cfg = SolverConfig(k=8, tol=1e-3, power=2, seed=5,
-                       estimated_iterations="auto", optimized=False,
+                       estimated_iterations="auto",
                        checkpointing=True, max_rank=64,
                        extras={"mu": 1e-4})
     d = cfg.to_dict()
@@ -132,10 +132,27 @@ def test_config_from_dict_rejects_unknown():
         SolverConfig.from_dict({"block_size": 8})
 
 
+def test_config_has_no_optimized_field():
+    """The solvers have one route; the old route selector is an unknown
+    field like any other, with no compatibility shim."""
+    with pytest.raises(ValueError, match="unknown SolverConfig"):
+        SolverConfig.from_dict({"optimized": False})
+    for cls in (LU_CRTP, ILUT_CRTP, RandQB_EI):
+        with pytest.raises(TypeError):
+            cls(optimized=False)
+
+
+def test_cache_key_literal_is_stable():
+    """Cache entries written by earlier releases (memory and
+    DiskCacheTier) keep hitting: the key string itself is pinned."""
+    assert SolverConfig(k=8, tol=1e-2).cache_key() == (
+        '{"estimated_iterations":10,"extras":{},"k":8,'
+        '"kernel_tier":"auto","max_rank":null,"power":1,"seed":0}')
+
+
 def test_cache_key_excludes_non_identity_fields():
     base = SolverConfig(k=8, tol=1e-2)
     assert base.cache_key() == base.replace(tol=1e-5).cache_key()
-    assert base.cache_key() == base.replace(optimized=False).cache_key()
     assert base.cache_key() == base.replace(checkpointing=True).cache_key()
     assert base.cache_key() != base.replace(k=16).cache_key()
     assert base.cache_key() != base.replace(seed=1).cache_key()

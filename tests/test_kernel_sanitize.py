@@ -143,6 +143,21 @@ def test_asan_load_refused_without_preload(monkeypatch):
     assert native._sanitize_load_error("lib.so", ("asan",)) is None
 
 
+def test_build_cli_entry_point_is_quiet():
+    """``python -m repro.kernels.native`` is the one CLI entry point and
+    runs without a runpy warning (the asan refusal above points to it)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(REPO / "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.kernels.native", "--cache-key"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.strip()) == 16
+
+
 # ---------------------------------------------------------------------------
 # explicit-native build failures raise (satellite bugfix)
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Bitwise parity of every optimized hot-path route against its reference.
+"""Bitwise parity of every hot-path route against its reference.
 
-The optimization layer (index-window blocks, symbolic-free matmul, raw
+The hot path (index-window blocks, symbolic-free matmul, raw
 constructors, fused thresholding, batched sketching, colamd argmin scan)
 promises *identical values in identical canonical order* — not merely
-"close".  These tests pin that contract: optimized and reference routes
+"close".  These tests pin that contract against the textbook
+formulations: the materialized-permutation LU iteration of
+``tests/lu_reference.py`` for LU_CRTP/ILUT_CRTP, unbatched draws for
+RandQB_EI, and the plain scipy compositions for each kernel.  Routes
 must agree exactly (``== 0.0`` max difference, ``array_equal`` pivots,
 ``==`` indicator trajectories), so any future drift is a hard failure.
 """
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lu_reference import reference_iteration
 from repro.core.ilut_crtp import ILUT_CRTP
 from repro.core.lu_crtp import LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
@@ -40,49 +44,63 @@ def _assert_same_result(r1, r2):
         assert a.indicator == b.indicator
 
 
+def _reference_solve(monkeypatch, cls, A, **kw):
+    """Solve with the reference iteration installed, on the pure tier."""
+    with monkeypatch.context() as m:
+        m.setattr(LU_CRTP, "_iteration", reference_iteration)
+        return cls(kernel_tier="pure", **kw).solve(A)
+
+
 # -- end-to-end solver parity ------------------------------------------------
 
 @pytest.mark.parametrize("n,k", [(120, 8), (250, 16)])
-def test_lu_crtp_optimized_bitwise_parity(n, k):
+def test_lu_crtp_optimized_bitwise_parity(monkeypatch, n, k):
     A = _m2_analogue(n)
     common = dict(k=k, tol=1e-6, max_rank=min(4 * k, n),
                   raise_on_failure=False)
-    _assert_same_result(LU_CRTP(optimized=False, **common).solve(A),
-                        LU_CRTP(optimized=True, **common).solve(A))
+    _assert_same_result(_reference_solve(monkeypatch, LU_CRTP, A, **common),
+                        LU_CRTP(**common).solve(A))
 
 
 @pytest.mark.parametrize("n,k", [(120, 8), (250, 16)])
-def test_ilut_crtp_optimized_bitwise_parity(n, k):
+def test_ilut_crtp_optimized_bitwise_parity(monkeypatch, n, k):
     A = _m2_analogue(n)
     common = dict(k=k, tol=1e-6, max_rank=min(4 * k, n),
                   raise_on_failure=False, estimated_iterations=6)
-    r_ref = ILUT_CRTP(optimized=False, **common).solve(A)
-    r_opt = ILUT_CRTP(optimized=True, **common).solve(A)
+    r_ref = _reference_solve(monkeypatch, ILUT_CRTP, A, **common)
+    r_opt = ILUT_CRTP(**common).solve(A)
     _assert_same_result(r_ref, r_opt)
 
 
-def test_ilut_crtp_parity_with_active_thresholding():
+def test_ilut_crtp_parity_with_active_thresholding(monkeypatch):
     """A loose tolerance makes mu large enough that entries really drop,
-    exercising the fused mask-then-apply route against drop_small."""
+    so the reference iteration runs on thresholded Schur complements
+    (the drop itself is pinned against drop_small below)."""
     A = _m2_analogue(200, density=0.05)
     common = dict(k=16, tol=5e-2, max_rank=128, raise_on_failure=False,
                   estimated_iterations=4)
-    r_ref = ILUT_CRTP(optimized=False, **common).solve(A)
-    r_opt = ILUT_CRTP(optimized=True, **common).solve(A)
+    r_ref = _reference_solve(monkeypatch, ILUT_CRTP, A, **common)
+    r_opt = ILUT_CRTP(**common).solve(A)
     _assert_same_result(r_ref, r_opt)
     assert r_opt.threshold > 0
+    assert sum(rec.dropped_nnz for rec in r_opt.history) > 0
 
 
 @pytest.mark.parametrize("power", [0, 1])
 def test_randqb_optimized_bitwise_parity(power):
+    """Batched Gaussian draws (the default) against the unbatched
+    per-iteration draws of a checkpointed run."""
     A = _m2_analogue(200, density=0.05)
     common = dict(k=16, tol=1e-4, power=power, seed=7, max_rank=96,
                   raise_on_failure=False)
-    r_ref = RandQB_EI(optimized=False, **common).solve(A)
-    r_opt = RandQB_EI(optimized=True, **common).solve(A)
+    seen = []
+    r_ref = RandQB_EI(checkpoint_callback=seen.append, **common).solve(A)
+    r_opt = RandQB_EI(**common).solve(A)
+    assert seen, "checkpoint callback never fired"
     assert r_ref.rank == r_opt.rank
     assert abs(r_ref.Q - r_opt.Q).max() == 0.0
     assert abs(r_ref.B - r_opt.B).max() == 0.0
+    assert len(r_ref.history) == len(r_opt.history)
     for a, b in zip(r_ref.history, r_opt.history):
         assert a.indicator == b.indicator
 
@@ -194,16 +212,27 @@ def test_colamd_scan_and_heap_agree():
         assert np.array_equal(p_scan, p_heap)
 
 
-def test_randqb_checkpointing_disables_batching_but_stays_exact():
+def test_randqb_checkpointing_disables_batching_but_stays_exact(monkeypatch):
     """Checkpointed runs must not batch (RNG state capture) yet still
-    reproduce the reference trajectory exactly."""
+    reproduce the batched trajectory exactly."""
+    import importlib
+    randqb_mod = importlib.import_module("repro.core.randqb_ei")
+    batches = []
+    orig = randqb_mod.gaussian_batch
+
+    def counting_batch(*args):
+        batches.append(args[:3])
+        return orig(*args)
+
+    monkeypatch.setattr(randqb_mod, "gaussian_batch", counting_batch)
     A = _m2_analogue(150, density=0.05)
     seen = []
     common = dict(k=8, tol=1e-4, seed=3, max_rank=64,
                   raise_on_failure=False)
-    r_ck = RandQB_EI(optimized=True, checkpoint_callback=seen.append,
-                     **common).solve(A)
-    r_ref = RandQB_EI(optimized=False, **common).solve(A)
+    r_ck = RandQB_EI(checkpoint_callback=seen.append, **common).solve(A)
     assert seen, "checkpoint callback never fired"
-    assert abs(r_ck.Q - r_ref.Q).max() == 0.0
-    assert abs(r_ck.B - r_ref.B).max() == 0.0
+    assert not batches, "a checkpointed run drew a batch"
+    r_batched = RandQB_EI(**common).solve(A)
+    assert batches, "the default run did not batch"
+    assert abs(r_ck.Q - r_batched.Q).max() == 0.0
+    assert abs(r_ck.B - r_batched.B).max() == 0.0
